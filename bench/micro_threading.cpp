@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cpu.hpp"
 #include "context/context.hpp"
 #include "context/stack.hpp"
 #include "runtime/lpt.hpp"
@@ -107,6 +108,43 @@ void BM_MutexLockUnlockUncontended(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_MutexLockUnlockUncontended);
+
+void BM_MutexContended(benchmark::State& state) {
+  // 16 ULTs on 4 workers take one Mutex around a short critical section:
+  // the timed ULT plus 15 peers running the same loop. Time is per
+  // acquisition of the timed ULT (wall clock: the ULT migrates between
+  // kernel threads); items/s counts every ULT's acquisitions.
+  run_in_ult(
+      state,
+      [](benchmark::State& s, Runtime& rt) {
+        Mutex m;
+        std::atomic<bool> stop{false};
+        long acquired = 0;  // guarded by m
+        auto section = [&] {
+          m.lock();
+          ++acquired;
+          for (int i = 0; i < 16; ++i) cpu_pause();
+          m.unlock();
+        };
+        std::vector<Thread> peers;
+        for (int i = 0; i < 15; ++i)
+          peers.push_back(rt.spawn([&] {
+            while (!stop.load(std::memory_order_relaxed)) section();
+          }));
+        m.lock();
+        const long before = acquired;
+        m.unlock();
+        for (auto _ : s) section();
+        m.lock();
+        const long during = acquired - before;
+        m.unlock();
+        stop.store(true, std::memory_order_relaxed);
+        for (auto& p : peers) p.join();
+        s.SetItemsProcessed(during);
+      },
+      4);
+}
+BENCHMARK(BM_MutexContended)->UseRealTime();
 
 void BM_SpawnJoinFromUlt(benchmark::State& state) {
   run_in_ult(state, [](benchmark::State& s, Runtime& rt) {

@@ -206,7 +206,6 @@ void Collector::configure(const ProfConfig& cfg) {
       locks_[i].acquires.store(0, std::memory_order_relaxed);
       locks_[i].contended.store(0, std::memory_order_relaxed);
       locks_[i].chains.store(0, std::memory_order_relaxed);
-      locks_[i].owner.store(nullptr, std::memory_order_relaxed);
       locks_[i].hold_start_ns = 0;
       locks_[i].site.store(0, std::memory_order_relaxed);
       locks_[i].hold_ns.reset();

@@ -13,10 +13,10 @@
 //    RwLock, Semaphore, Latch, WaitGroup, join, sleep, timed waits) tags the
 //    blocking ULT with a wait kind + callsite and records the block→resume
 //    time into a fixed-capacity lock-free site table;
-//  * lock contention — per-Mutex acquire/contended counts, hold-time and
-//    wait-time log2 histograms, and a contention-chain counter (a waiter
-//    parked behind a holder that is itself off-CPU — the pathology the
-//    ULT-aware-lock literature targets).
+//  * lock contention — per-Mutex acquire/contended (spun or parked) counts,
+//    hold-time and wait-time log2 histograms, and a contention-chain counter
+//    (an acquire that parked behind a holder that is itself off-CPU — the
+//    pathology the ULT-aware-lock literature targets).
 //
 // Signal-safety contract: sample() runs inside signal handlers and
 // record_wait() on block/wake paths; neither allocates, locks, nor calls
@@ -134,7 +134,7 @@ struct LockProfile {
   std::uintptr_t site = 0;  ///< callsite of the first contended acquire
   std::uint64_t acquires = 0;
   std::uint64_t contended = 0;
-  std::uint64_t chains = 0;  ///< waiters parked behind an off-CPU holder
+  std::uint64_t chains = 0;  ///< acquires parked behind an off-CPU holder
   trace::HistSnapshot hold_ns;
   trace::HistSnapshot wait_ns;
 };
@@ -208,11 +208,8 @@ struct LockStats {
   std::atomic<std::uint64_t> acquires{0};
   std::atomic<std::uint64_t> contended{0};
   std::atomic<std::uint64_t> chains{0};
-  /// Current holder (opaque ThreadCtl*), for the contention-chain check.
-  /// Pointer-compared only — never dereferenced (the holder may finalize).
-  std::atomic<const void*> owner{nullptr};
-  /// Written only under the owning Mutex's guard_ (acquire fast path and the
-  /// handoff in unlock), so a plain field is race-free.
+  /// Written only under the owning Mutex's guard_ (at acquisition and
+  /// release), so a plain field is race-free.
   std::int64_t hold_start_ns = 0;
   std::atomic<std::uintptr_t> site{0};  ///< first contended-acquire callsite
   trace::LatencyHistogram hold_ns;

@@ -203,7 +203,6 @@ Runtime::~Runtime() {
     if (fallback_timer_) fallback_timer_->stop();
   }
   set_active_workers(num_workers());  // unpark packing-suspended workers
-  notify_work();
 
   // Wake every parked spare with an exit assignment. Worker-host KLTs leave
   // through the scheduler's exit path and ignore the extra ticket.
@@ -463,7 +462,7 @@ void Runtime::set_active_workers(int n) {
     w->wake_word.fetch_add(1, std::memory_order_acq_rel);
     futex_wake(&w->wake_word, INT_MAX);
   }
-  notify_work();
+  wake_all_idle();
 }
 
 std::uint64_t Runtime::total_preemptions() const {
@@ -771,8 +770,28 @@ void Runtime::ProfTicker::thread_loop() {
   }
 }
 
+// Idle-worker wakeup is an eventcount. The notifier bumps work_seq_ after
+// its enqueue, then reads sleepers_; an idle worker reads work_seq_ before
+// its has_work() check, then increments sleepers_, then futex-waits on the
+// value it read. The bump, the load and the increment are seq_cst, so they
+// sit in one total order (the Dekker pattern):
+//  * increment before load: the notifier sees a sleeper and wakes one. The
+//    futex contract covers a worker not yet queued: it compares work_seq_
+//    inside the kernel, after the bump, and does not sleep.
+//  * load before increment: then the bump precedes the increment too, and
+//    the kernel's compare, sequenced after the increment, sees the bump, so
+//    the worker returns at once instead of sleeping on stale work.
+// Either way no enqueue is left with every worker asleep. One wake suffices:
+// every enqueue notifies, and a worker that finds queued work it cannot take
+// passes the wakeup on (Worker::idle_backoff).
 void Runtime::notify_work() {
-  work_seq_.fetch_add(1, std::memory_order_acq_rel);
+  work_seq_.fetch_add(1, std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_seq_cst) != 0)
+    futex_wake(&work_seq_, 1);
+}
+
+void Runtime::wake_all_idle() {
+  work_seq_.fetch_add(1, std::memory_order_seq_cst);
   futex_wake(&work_seq_, INT_MAX);
 }
 
@@ -840,8 +859,10 @@ void Runtime::enqueue_ready(ThreadCtl* t, Worker* hint, EnqueueKind kind,
 
 void Runtime::idle_wait(std::uint32_t seen_seq) {
   // Bounded nap: timer signals, packing changes, and shutdown re-check the
-  // loop conditions anyway.
+  // loop conditions anyway. sleepers_ brackets the wait (see notify_work).
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
   futex_wait_timeout(&work_seq_, seen_seq, 1'000'000 /* 1 ms */);
+  sleepers_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
 // ---------------------------------------------------------------------------

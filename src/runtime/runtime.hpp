@@ -282,8 +282,10 @@ class Runtime {
   void enqueue_ready(ThreadCtl* t, Worker* hint, EnqueueKind kind,
                      std::uint32_t waker = kWakerFromTls);
 
-  /// Wake idle workers after an enqueue.
+  /// Wake one idle worker after an enqueue; no syscall when none sleeps.
   void notify_work();
+  /// Wake every idle worker (shutdown, active-worker count changes).
+  void wake_all_idle();
   /// Idle worker: sleep until notify_work or timeout.
   void idle_wait(std::uint32_t seen_seq);
   std::uint32_t work_seq() const { return work_seq_.load(std::memory_order_acquire); }
@@ -491,6 +493,7 @@ class Runtime {
   std::atomic<int> n_active_{0};
   std::atomic<bool> shutdown_{false};
   std::atomic<std::uint32_t> work_seq_{0};
+  std::atomic<std::uint32_t> sleepers_{0};  // workers inside idle_wait
   std::atomic<int> spawn_rr_{0};  // round-robin hint for external spawns
 };
 

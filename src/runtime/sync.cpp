@@ -29,9 +29,43 @@ void make_ready(ThreadCtl* t, std::uint32_t waker = Runtime::kWakerFromTls) {
   rt->enqueue_ready(t, hint, EnqueueKind::kUnblock, waker);
 }
 
+/// One lock()/try_lock_for() call's contention record, carried across its
+/// spin and park rounds: what the starvation bound and the lock profiler
+/// need.
+struct Contention {
+  std::int64_t since = 0;  ///< first spin or park (0: uncontended so far)
+  int spins = 0;           ///< spin rounds since the last wakeup
+  int losses = 0;          ///< wakeups that found the lock taken again
+  bool chained = false;    ///< parked behind an off-CPU holder at least once
+
+  bool starving() const {
+    return losses >= Mutex::kStarveLosses ||
+           trace::now_ns() - since >= Mutex::kStarveNs;
+  }
+};
+
+/// True when `owner` is some worker's current ULT. Pointer compares only:
+/// the holder may be finalizing concurrently.
+bool on_cpu(Runtime* rt, const ThreadCtl* owner) {
+  if (owner == nullptr || rt == nullptr) return false;
+  for (int r = 0; r < rt->num_workers(); ++r)
+    if (rt->worker(r).current_ult.load(std::memory_order_acquire) == owner)
+      return true;
+  return false;
+}
+
+/// Spin only behind a running holder, within the spin bound, and never
+/// while a starving waiter awaits handoff (the lock word stays set across a
+/// handoff, so a spinner could not win; parking frees its core for the
+/// starving waiter).
+bool worth_spinning(const Contention& c, bool holder_on_cpu,
+                    bool handoff_pending) {
+  return holder_on_cpu && !handoff_pending && c.spins < Mutex::kSpinRounds;
+}
+
 // ---- lock-contention profiling helpers (all called under the Mutex's
-// guard_ unless noted; every one is a no-op with a null `ls`, and the whole
-// block compiles away under LPT_PROF_DISABLED) ----
+// guard_; every one is a no-op with a null `ls`, and the whole block
+// compiles away under LPT_PROF_DISABLED) ----
 #if !defined(LPT_PROF_DISABLED)
 
 /// Lazily attach the Mutex's LockStats slot. Caller holds guard_, so the
@@ -41,49 +75,42 @@ prof::LockStats* lock_stats(prof::LockStats*& slot) {
   return slot;
 }
 
-void lock_note_acquire(prof::LockStats* ls) {
-  if (ls != nullptr) ls->acquires.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// The caller just became the owner without waiting (fast path / try_lock).
-void lock_note_owned(prof::LockStats* ls, const ThreadCtl* self) {
+/// The caller is about to spin or park for the first time in this call.
+void lock_note_contended(prof::LockStats* ls, void* site) {
   if (ls == nullptr) return;
-  ls->owner.store(self, std::memory_order_relaxed);
-  ls->hold_start_ns = trace::now_ns();
-}
-
-/// The caller is about to park behind the current owner. The contention
-/// chain check (the pathology ULT-aware locks target: waiting behind a
-/// holder that is itself off-CPU) compares the opaque owner pointer against
-/// every worker's current ULT — pointer compares only, the holder may be
-/// finalizing concurrently.
-void lock_note_contended(prof::LockStats* ls, Runtime* rt, void* site) {
-  if (ls == nullptr) return;
-  ls->contended.fetch_add(1, std::memory_order_relaxed);
   std::uintptr_t none = 0;
   ls->site.compare_exchange_strong(
       none, reinterpret_cast<std::uintptr_t>(site), std::memory_order_relaxed);
-  const void* owner = ls->owner.load(std::memory_order_relaxed);
-  if (owner == nullptr || rt == nullptr) return;
-  for (int r = 0; r < rt->num_workers(); ++r) {
-    if (rt->worker(r).current_ult.load(std::memory_order_acquire) == owner)
-      return;  // the holder is on a core; normal contention
-  }
+}
+
+/// The caller is about to park. Parking behind a holder that is itself
+/// off-CPU is the contention chain ULT-aware locks target; counted at most
+/// once per acquire, so chains <= contended.
+void lock_note_park(prof::LockStats* ls, Contention& c, bool holder_on_cpu) {
+  if (ls == nullptr || holder_on_cpu || c.chained) return;
+  c.chained = true;
   ls->chains.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// A parked waiter woke as the new owner (direct handoff already stamped
-/// hold_start_ns/owner under guard_ in unlock); record its wait time.
-/// Called WITHOUT guard_ — touches only atomics/histograms.
-void lock_note_waited(prof::LockStats* ls, const ThreadCtl* self,
-                      std::int64_t wait_start, void* site) {
-  if (ls == nullptr || wait_start == 0) return;
-  const std::int64_t ns = trace::now_ns() - wait_start;
-  ls->wait_ns.record(ns);
-  LPT_TRACE_EVENT(trace::EventType::kLockContended, self->trace_id,
-                  static_cast<std::uint64_t>(ns < 0 ? 0 : ns),
-                  static_cast<std::uint64_t>(
-                      reinterpret_cast<std::uintptr_t>(site)));
+/// The call is over: one acquire, contended when it spun or parked. When
+/// `owned` the caller holds the lock from this instant — its wait time is
+/// recorded and its hold interval starts.
+void lock_note_done(prof::LockStats* ls, const Contention& c,
+                    const ThreadCtl* self, void* site, bool owned) {
+  if (ls == nullptr) return;
+  ls->acquires.fetch_add(1, std::memory_order_relaxed);
+  const std::int64_t now = trace::now_ns();
+  if (c.since != 0) {
+    ls->contended.fetch_add(1, std::memory_order_relaxed);
+    if (owned) {
+      ls->wait_ns.record(now - c.since);
+      LPT_TRACE_EVENT(trace::EventType::kLockContended, self->trace_id,
+                      static_cast<std::uint64_t>(now - c.since),
+                      static_cast<std::uint64_t>(
+                          reinterpret_cast<std::uintptr_t>(site)));
+    }
+  }
+  if (owned) ls->hold_start_ns = now;
 }
 
 /// The owner is releasing: close its hold interval.
@@ -93,122 +120,85 @@ void lock_note_release(prof::LockStats* ls) {
   ls->hold_start_ns = 0;
 }
 
-/// Direct handoff: `next` owns the lock from this instant (its hold time
-/// includes the wakeup latency — it *is* holding the lock while it waits to
-/// run, which is exactly what a contention profile should show).
-void lock_note_handoff(prof::LockStats* ls, const ThreadCtl* next) {
-  if (ls == nullptr) return;
-  ls->owner.store(next, std::memory_order_relaxed);
-  ls->hold_start_ns = trace::now_ns();
-}
-
-void lock_note_released_idle(prof::LockStats* ls) {
-  if (ls != nullptr) ls->owner.store(nullptr, std::memory_order_relaxed);
-}
-
 #else  // LPT_PROF_DISABLED
 
 inline prof::LockStats* lock_stats(prof::LockStats*&) { return nullptr; }
-inline void lock_note_acquire(prof::LockStats*) {}
-inline void lock_note_owned(prof::LockStats*, const ThreadCtl*) {}
-inline void lock_note_contended(prof::LockStats*, Runtime*, void*) {}
-inline void lock_note_waited(prof::LockStats*, const ThreadCtl*, std::int64_t,
-                             void*) {}
+inline void lock_note_contended(prof::LockStats*, void*) {}
+inline void lock_note_park(prof::LockStats*, Contention&, bool) {}
+inline void lock_note_done(prof::LockStats*, const Contention&,
+                           const ThreadCtl*, void*, bool) {}
 inline void lock_note_release(prof::LockStats*) {}
-inline void lock_note_handoff(prof::LockStats*, const ThreadCtl*) {}
-inline void lock_note_released_idle(prof::LockStats*) {}
 
 #endif  // LPT_PROF_DISABLED
+
+/// Queue `self` to park. A woken waiter that lost keeps its place at the
+/// front and, once starving, asks the next unlock() for handoff.
+void queue_waiter(std::vector<ThreadCtl*>& waiters, bool& handoff,
+                  ThreadCtl* self, const Contention& c) {
+  if (c.losses == 0) {
+    waiters.push_back(self);
+    return;
+  }
+  waiters.insert(waiters.begin(), self);
+  if (c.starving()) handoff = true;
+}
+
+/// Bounded spin: poll the lock word for one round of kSpinPauses pauses.
+void spin_round(const std::atomic<bool>& locked) {
+  for (int i = 0; i < Mutex::kSpinPauses &&
+                  locked.load(std::memory_order_relaxed);
+       ++i)
+    cpu_pause();
+}
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Mutex
 // ---------------------------------------------------------------------------
+//
+// Succession is barging: unlock() clears the lock word and wakes the front
+// waiter, which competes again in lock()'s loop, so the lock is never held
+// across a wakeup. Only a starving waiter (Contention::starving) gets the
+// lock handed over. Owner tracking (owner_, park owner edges, the profiler's
+// hold clock) always names the thread that actually holds the lock.
+
+void Mutex::take(ThreadCtl* self) {
+  locked_.store(true, std::memory_order_relaxed);
+  owner_ = self;
+  if (park::armed()) {
+    if (res_ == nullptr)
+      res_ = park::acquire_resource(
+          static_cast<std::uint8_t>(prof::WaitKind::kMutex), this,
+          &Mutex::abandon_cb);
+    park::add_owner(res_, self);
+  }
+}
+
+ThreadCtl* Mutex::pick_wakee() {
+  if (woken_ || waiters_.empty()) return nullptr;
+  woken_ = true;
+  ThreadCtl* next = waiters_.front();
+  waiters_.erase(waiters_.begin());
+  return next;
+}
 
 void Mutex::lock() {
   void* const site = __builtin_return_address(0);
   ThreadCtl* self = require_ult("lpt::Mutex::lock outside ULT context");
   detail::cancel_point(self);  // before acquisition: nothing held yet
-  detail::begin_no_preempt(self);
-  for (;;) {
-    guard_.lock();
-    prof::LockStats* ls = prof::locks_on() ? lock_stats(prof_) : nullptr;
-    lock_note_acquire(ls);
-    if (!locked_) {
-      locked_ = true;
-      owner_ = self;
-      if (park::armed()) {
-        if (res_ == nullptr)
-          res_ = park::acquire_resource(
-              static_cast<std::uint8_t>(prof::WaitKind::kMutex), this,
-              &Mutex::abandon_cb);
-        park::add_owner(res_, self);
-      }
-      lock_note_owned(ls, self);
-      guard_.unlock();
-      detail::end_no_preempt(self);
-      return;
-    }
-    if (owner_ == self && park::armed() && self->no_preempt_depth == 1) {
-      // Self-deadlock: relocking the mutex we already hold would park behind
-      // ourselves forever. Caught synchronously (a 1-cycle, no detector
-      // round trip) and terminated as a deadlock victim. Under an outer
-      // NoPreemptGuard the cancellation point below cannot fire, so the
-      // historical behavior (hang, detectable by the watchdog) is kept; with
-      // the registry disarmed the check is off entirely.
-      guard_.unlock();
-      self->cancel_fault = FaultKind::kDeadlock;
-      self->cancel_requested.store(true, std::memory_order_release);
-      self->rt->note_self_deadlock(
-          self, static_cast<std::uint8_t>(prof::WaitKind::kMutex));
-      detail::end_no_preempt(self);  // cancellation point: does not return
-      detail::begin_no_preempt(self);
-      continue;  // unreachable in practice; keeps the invariant if it ever is
-    }
-    lock_note_contended(ls, self->rt, site);
-    waiters_.push_back(self);
-    park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kMutex),
-               /*timed=*/false, res_, nullptr, &guard_, &waiters_);
-    const std::int64_t wait_start = ls != nullptr ? trace::now_ns() : 0;
-    prof::offcpu_begin(self, prof::WaitKind::kMutex, site);
-    // Direct handoff: unlock() keeps `locked_` set and wakes us as the owner.
-    detail::suspend_block(self, &guard_, nullptr);
-    park::unpark(self);
-    prof::offcpu_end(self);
-    if (self->park_broken) {
-      // The deadlock breaker cancelled us out of the wait: we do NOT own the
-      // lock. The cancellation point below normally terminates us; a thread
-      // it cannot unwind (outer NoPreemptGuard) retries the acquire.
-      self->park_broken = false;
-      detail::end_no_preempt(self);  // cancellation point: usually no return
-      detail::begin_no_preempt(self);
-      continue;
-    }
-    lock_note_waited(ls, self, wait_start, site);
-    detail::end_no_preempt(self);
-    return;
-  }
+  acquire(self, site, kNoDeadline);
 }
 
 bool Mutex::try_lock() {
   ThreadCtl* self = require_ult("lpt::Mutex::try_lock outside ULT context");
   detail::begin_no_preempt(self);
   guard_.lock();
-  const bool got = !locked_;
+  const bool got = !locked_.load(std::memory_order_relaxed);
   if (got) {
-    locked_ = true;
-    owner_ = self;
-    if (park::armed()) {
-      if (res_ == nullptr)
-        res_ = park::acquire_resource(
-            static_cast<std::uint8_t>(prof::WaitKind::kMutex), this,
-            &Mutex::abandon_cb);
-      park::add_owner(res_, self);
-    }
-    prof::LockStats* ls = prof::locks_on() ? lock_stats(prof_) : nullptr;
-    lock_note_acquire(ls);
-    lock_note_owned(ls, self);
+    take(self);
+    lock_note_done(prof::locks_on() ? lock_stats(prof_) : nullptr,
+                   Contention{}, self, nullptr, /*owned=*/true);
   }
   guard_.unlock();
   detail::end_no_preempt(self);
@@ -220,50 +210,108 @@ bool Mutex::try_lock_for(std::chrono::nanoseconds timeout) {
   ThreadCtl* self =
       require_ult("lpt::Mutex::try_lock_for outside ULT context");
   detail::cancel_point(self);
+  return acquire(self, site, now_ns() + timeout.count());
+}
+
+bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
+  const bool timed = deadline != kNoDeadline;
   detail::begin_no_preempt(self);
-  guard_.lock();
-  prof::LockStats* ls = prof::locks_on() ? lock_stats(prof_) : nullptr;
-  if (!locked_) {
-    locked_ = true;
-    owner_ = self;
-    if (park::armed()) {
-      if (res_ == nullptr)
-        res_ = park::acquire_resource(
-            static_cast<std::uint8_t>(prof::WaitKind::kMutex), this,
-            &Mutex::abandon_cb);
-      park::add_owner(res_, self);
+  Contention c;
+  bool woke = false;
+  bool got = false;
+  // Untimed, the flag is not ours: CondVar::wait_for relocks through here
+  // and reports its own timeout from it afterwards.
+  if (timed) self->wait_timed_out = false;
+  for (;;) {
+    guard_.lock();
+    prof::LockStats* ls = prof::locks_on() ? lock_stats(prof_) : nullptr;
+    const bool expired = timed && self->wait_timed_out;
+    if (woke) {
+      woke = false;
+      if (owner_ == self) {
+        // Starvation handoff: unlock() kept the word set and made us owner.
+        lock_note_done(ls, c, self, site, /*owned=*/true);
+        guard_.unlock();
+        got = true;
+        break;
+      }
+      // Expiry removed us from waiters_; otherwise unlock() woke us and we
+      // were the woken waiter, so the next unlock may wake another.
+      if (!expired) {
+        woken_ = false;
+        if (locked_.load(std::memory_order_relaxed)) ++c.losses;
+      }
     }
-    lock_note_acquire(ls);
-    lock_note_owned(ls, self);
-    guard_.unlock();
-    detail::end_no_preempt(self);
-    return true;
+    if (!locked_.load(std::memory_order_relaxed) && !expired) {
+      take(self);
+      lock_note_done(ls, c, self, site, /*owned=*/true);
+      guard_.unlock();
+      got = true;
+      break;
+    }
+    if (timed && (expired || now_ns() >= deadline)) {
+      // A timed-out waiter never takes the lock.
+      if (c.since != 0) lock_note_done(ls, c, self, site, /*owned=*/false);
+      guard_.unlock();
+      break;
+    }
+    if (!timed && owner_ == self && park::armed() &&
+        self->no_preempt_depth == 1) {
+      // Self-deadlock: relocking the mutex we already hold would park behind
+      // ourselves forever. Caught synchronously (a 1-cycle, no detector
+      // round trip) and terminated as a deadlock victim. Under an outer
+      // NoPreemptGuard the cancellation point below cannot fire, so the
+      // historical behavior (hang, detectable by the watchdog) is kept; with
+      // the registry disarmed the check is off entirely. A timed relock
+      // simply times out.
+      guard_.unlock();
+      self->cancel_fault = FaultKind::kDeadlock;
+      self->cancel_requested.store(true, std::memory_order_release);
+      self->rt->note_self_deadlock(
+          self, static_cast<std::uint8_t>(prof::WaitKind::kMutex));
+      detail::end_no_preempt(self);  // cancellation point: does not return
+      detail::begin_no_preempt(self);
+      continue;  // unreachable in practice; keeps the invariant if it ever is
+    }
+    if (c.since == 0) {
+      c.since = trace::now_ns();
+      lock_note_contended(ls, site);
+    }
+    const bool holder_on_cpu = on_cpu(self->rt, owner_);
+    if (worth_spinning(c, holder_on_cpu, handoff_)) {
+      ++c.spins;
+      guard_.unlock();
+      spin_round(locked_);
+      continue;
+    }
+    lock_note_park(ls, c, holder_on_cpu);
+    queue_waiter(waiters_, handoff_, self, c);
+    // Expiry races unlock() for the wakeup under guard_; whoever removes us
+    // from waiters_ wins.
+    if (timed)
+      self->rt->register_timed_wait(self, deadline, &guard_, &waiters_);
+    park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kMutex), timed,
+               res_, nullptr, &guard_, &waiters_);
+    prof::offcpu_begin(self, prof::WaitKind::kMutex, site);
+    detail::suspend_block(self, &guard_, nullptr);
+    park::unpark(self);
+    prof::offcpu_end(self);
+    if (timed) self->rt->unregister_timed_wait(self);
+    if (self->park_broken) {
+      // The deadlock breaker cancelled us out of the wait (untimed waits
+      // only): we do NOT own the lock. The cancellation point below normally
+      // terminates us; a thread it cannot unwind (outer NoPreemptGuard)
+      // retries the acquire.
+      self->park_broken = false;
+      detail::end_no_preempt(self);  // cancellation point: usually no return
+      detail::begin_no_preempt(self);
+      continue;
+    }
+    woke = true;
+    c.spins = 0;
   }
-  if (timeout.count() <= 0) {
-    guard_.unlock();
-    detail::end_no_preempt(self);
-    return false;
-  }
-  lock_note_acquire(ls);
-  lock_note_contended(ls, self->rt, site);
-  const std::int64_t deadline = now_ns() + timeout.count();
-  waiters_.push_back(self);
-  self->wait_timed_out = false;
-  const std::int64_t wait_start = ls != nullptr ? trace::now_ns() : 0;
-  // Expiry races unlock() for the wakeup under guard_; whoever removes us
-  // from waiters_ wins. Losing to unlock() means we were handed the lock —
-  // a timed waiter that wakes as owner reports success even if late.
-  self->rt->register_timed_wait(self, deadline, &guard_, &waiters_);
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kMutex),
-             /*timed=*/true, res_, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kMutex, site);
-  detail::suspend_block(self, &guard_, nullptr);
-  park::unpark(self);
-  prof::offcpu_end(self);
-  self->rt->unregister_timed_wait(self);
-  if (!self->wait_timed_out) lock_note_waited(ls, self, wait_start, site);
   detail::end_no_preempt(self);  // cancellation point
-  return !self->wait_timed_out;
+  return got;
 }
 
 void Mutex::unlock() {
@@ -272,25 +320,24 @@ void Mutex::unlock() {
   ThreadCtl* self = detail::current_ult_or_null();
   detail::begin_no_preempt(self);
   guard_.lock();
-  LPT_CHECK_MSG(locked_, "unlock of unowned lpt::Mutex");
-  prof::LockStats* ls = prof::locks_on() ? prof_ : nullptr;
-  lock_note_release(ls);
+  LPT_CHECK_MSG(locked_.load(std::memory_order_relaxed),
+                "unlock of unowned lpt::Mutex");
+  lock_note_release(prof::locks_on() ? prof_ : nullptr);
   park::remove_owner(res_, owner_);
-  if (waiters_.empty()) {
-    locked_ = false;
+  ThreadCtl* next;
+  if (handoff_ && !waiters_.empty()) {
+    next = waiters_.front();
+    waiters_.erase(waiters_.begin());
+    owner_ = next;  // the word stays set: ownership passes to `next`
+    park::add_owner(res_, next);
+  } else {
+    locked_.store(false, std::memory_order_relaxed);
     owner_ = nullptr;
-    lock_note_released_idle(ls);
-    guard_.unlock();
-    detail::end_no_preempt(self);
-    return;
+    next = pick_wakee();
   }
-  ThreadCtl* next = waiters_.front();
-  waiters_.erase(waiters_.begin());
-  owner_ = next;  // ownership transfers before the wake: edges never dangle
-  park::add_owner(res_, next);
-  lock_note_handoff(ls, next);
-  guard_.unlock();  // `locked_` stays true: ownership passes to `next`
-  make_ready(next);
+  handoff_ = false;
+  guard_.unlock();
+  if (next != nullptr) make_ready(next);
   detail::end_no_preempt(self);
 }
 
@@ -300,7 +347,7 @@ bool Mutex::held_by_caller() const {
   auto* m = const_cast<Mutex*>(this);
   detail::begin_no_preempt(self);
   m->guard_.lock();
-  const bool held = locked_ && owner_ == self;
+  const bool held = locked_.load(std::memory_order_relaxed) && owner_ == self;
   m->guard_.unlock();
   detail::end_no_preempt(self);
   return held;
@@ -309,9 +356,9 @@ bool Mutex::held_by_caller() const {
 bool Mutex::abandon(ThreadCtl* dead, bool release) {
   // Finalize-context hook: `dead` ended while recorded as this mutex's
   // owner. Always clear owner_ (a later ThreadCtl at the same address must
-  // not read as the holder); force-unlock with handoff only when asked.
+  // not read as the holder); force-unlock only when asked.
   guard_.lock();
-  if (!locked_ || owner_ != dead) {
+  if (!locked_.load(std::memory_order_relaxed) || owner_ != dead) {
     guard_.unlock();
     return false;
   }
@@ -320,24 +367,14 @@ bool Mutex::abandon(ThreadCtl* dead, bool release) {
     guard_.unlock();
     return false;
   }
-  prof::LockStats* ls = prof::locks_on() ? prof_ : nullptr;
-  lock_note_release(ls);
-  if (waiters_.empty()) {
-    locked_ = false;
-    lock_note_released_idle(ls);
-    guard_.unlock();
-    return true;
-  }
-  ThreadCtl* next = waiters_.front();
-  waiters_.erase(waiters_.begin());
-  owner_ = next;
-  park::add_owner(res_, next);
-  lock_note_handoff(ls, next);
+  lock_note_release(prof::locks_on() ? prof_ : nullptr);
+  locked_.store(false, std::memory_order_relaxed);
+  ThreadCtl* next = pick_wakee();
   guard_.unlock();
   // Causally the dead owner freed the lock, not the watchdog thread running
   // this hook — attribute the wake edge to it so trace_critical_path can
   // walk a survivor's chain back into the broken cycle.
-  make_ready(next, dead->trace_id);
+  if (next != nullptr) make_ready(next, dead->trace_id);
   return true;
 }
 

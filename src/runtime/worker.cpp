@@ -590,6 +590,7 @@ void Worker::idle_backoff(int& failures) {
     for (int i = 0; i < 32; ++i) cpu_pause();
     return;
   }
+  failures = 64;  // bounded: every later miss takes the nap path
   std::uint32_t seq = rt->work_seq();
   if (rt->scheduler().has_work() || rt->shutting_down()) return;
   rt->idle_wait(seq);

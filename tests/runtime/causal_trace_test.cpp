@@ -55,9 +55,13 @@ TEST(CausalTrace, MutexUnlockEmitsWakeEdgeWithWakerIdentity) {
   {
     Runtime rt(traced_options(1));
     Mutex m;
+    std::atomic<bool> t2_queued{false};
     // t1 takes the lock and yields while holding it; t2 then parks on it.
+    // t1 first waits until t2 is spawned: the external spawns race the
+    // worker, and t1 could otherwise finish before t2 exists.
     Thread t1 = rt.spawn([&] {
       m.lock();
+      while (!t2_queued.load(std::memory_order_acquire)) this_thread::yield();
       for (int i = 0; i < 4; ++i) this_thread::yield();
       m.unlock();
     });
@@ -65,6 +69,7 @@ TEST(CausalTrace, MutexUnlockEmitsWakeEdgeWithWakerIdentity) {
       m.lock();
       m.unlock();
     });
+    t2_queued.store(true, std::memory_order_release);
     t1.join();
     t2.join();
     evs = events_after(rt);

@@ -97,7 +97,12 @@ TEST(RuntimeBasic, YieldInterleavesOnSingleWorker) {
   opts.num_workers = 1;
   Runtime rt(opts);
   std::vector<int> trace;
+  std::atomic<bool> b_queued{false};
   Thread a = rt.spawn([&] {
+    // Hold the only worker until b is queued: the external spawns race the
+    // worker, and a could otherwise yield before b exists.
+    while (!b_queued.load(std::memory_order_acquire)) {
+    }
     trace.push_back(0);
     this_thread::yield();
     trace.push_back(2);
@@ -109,6 +114,7 @@ TEST(RuntimeBasic, YieldInterleavesOnSingleWorker) {
     this_thread::yield();
     trace.push_back(3);
   });
+  b_queued.store(true, std::memory_order_release);
   a.join();
   b.join();
   EXPECT_EQ(trace, (std::vector<int>{0, 1, 2, 3, 4}));

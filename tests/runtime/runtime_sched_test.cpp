@@ -214,6 +214,14 @@ TEST(Priority, AnalysisRunsOnlyWhenSimulationIdle) {
   std::atomic<int> sim_done{0};
   std::atomic<bool> analysis_ran{false};
   std::atomic<bool> sim_running_when_analysis_started{false};
+  std::atomic<bool> go{false};
+  // Hold the worker with a high-priority spinner until every thread below is
+  // queued: the external spawns otherwise race the worker, which could run
+  // the analysis thread before any simulation thread exists.
+  Thread blocker = rt.spawn([&] {
+    while (!go.load()) { /* nonpreemptive busy wait, blocks the worker */ }
+  });
+  usleep(10'000);  // let the blocker start
 
   ThreadAttrs analysis_attrs;
   analysis_attrs.priority = 1;
@@ -231,6 +239,8 @@ TEST(Priority, AnalysisRunsOnlyWhenSimulationIdle) {
       busy_spin_ns(2'000'000);
       sim_done.fetch_add(1);
     }));
+  go.store(true);
+  blocker.join();
   for (auto& t : sims) t.join();
   analysis.join();
   EXPECT_TRUE(analysis_ran.load());

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <vector>
 
+#include "common/cpu.hpp"
 #include "common/time.hpp"
 #include "runtime/lpt.hpp"
 
@@ -394,6 +398,174 @@ TEST(Sync, MutexUnderPreemption) {
   }
   for (auto& t : ts) t.join();
   EXPECT_EQ(counter, 12000);
+}
+
+// ---------------------------------------------------------------------------
+// Barging succession: spin-then-park, starvation bound, sleeper-gated wakeup
+// ---------------------------------------------------------------------------
+
+/// 16 ULTs on 4 workers hammer one Mutex; the count must come out exact.
+void run_mutex_stress(Preempt preempt) {
+  RuntimeOptions o;
+  o.num_workers = 4;
+  if (preempt != Preempt::None) {
+    o.timer = TimerKind::PerWorkerAligned;
+    o.interval_us = 1000;
+  }
+  Runtime rt(o);
+  Mutex m;
+  constexpr int kUlts = 16;
+  constexpr int kIncrements = 5000;
+  long counter = 0;
+  ThreadAttrs attrs;
+  attrs.preempt = preempt;
+  std::vector<Thread> ts;
+  for (int i = 0; i < kUlts; ++i)
+    ts.push_back(rt.spawn(
+        [&] {
+          for (int k = 0; k < kIncrements; ++k) {
+            m.lock();
+            const long seen = counter;
+            for (int spin = 0; spin < 16; ++spin) cpu_pause();  // widen races
+            counter = seen + 1;
+            m.unlock();
+          }
+        },
+        attrs));
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(counter, static_cast<long>(kUlts) * kIncrements);
+}
+
+TEST(MutexStress, ExactCountNonpreemptive) { run_mutex_stress(Preempt::None); }
+TEST(MutexStress, ExactCountSignalYield) {
+  run_mutex_stress(Preempt::SignalYield);
+}
+TEST(MutexStress, ExactCountKltSwitch) { run_mutex_stress(Preempt::KltSwitch); }
+
+TEST(MutexStress, WaiterStarvationBounded) {
+  // Four hammers hold the lock in long sections and re-take it right after
+  // each release; being on a core, they beat any waiter unlock() woke, so
+  // without a starvation bound a fifth ULT could lose forever. With it, after
+  // Mutex::kStarveLosses lost races or Mutex::kStarveNs of waiting the next
+  // unlock hands the lock over, and the fifth ULT's worst acquire stays near
+  // that bound. The slack covers the hammers' 1 ms sections (about two per
+  // waiter queued ahead), wakeup latency and host noise; without the bound
+  // the fifth ULT waits for seconds.
+  RuntimeOptions o;
+  o.num_workers = 4;
+  Runtime rt(o);
+  Mutex m;
+  std::atomic<bool> stop{false};
+  std::vector<Thread> hammers;
+  for (int i = 0; i < 4; ++i)
+    hammers.push_back(rt.spawn([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        m.lock();
+        busy_spin_ns(1'000'000);
+        m.unlock();
+      }
+    }));
+  std::atomic<std::int64_t> worst{0};
+  Thread waiter = rt.spawn([&] {
+    for (int round = 0; round < 20; ++round) {
+      const std::int64_t t0 = now_ns();
+      m.lock();
+      worst.store(std::max(worst.load(), now_ns() - t0));
+      m.unlock();
+      this_thread::yield();
+    }
+  });
+  const bool finished = waiter.join_for(std::chrono::seconds(10));
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : hammers) t.join();
+  if (!finished) waiter.join();
+  EXPECT_TRUE(finished) << "the lone waiter starved";
+  EXPECT_LT(worst.load(), Mutex::kStarveNs + 50'000'000)
+      << "worst acquire " << worst.load() << " ns";
+}
+
+TEST(MutexStress, TryLockForTimeoutNeverOwns) {
+  // The holder re-takes the lock right after each release (it is on a core,
+  // so it usually beats the waiter its unlock woke) and holds it 2 ms each
+  // time. A timed waiter is therefore woken by unlock, loses, and re-parks. A false
+  // return must come at the deadline, never early, and never with the lock
+  // held; a deadline well past the starvation bound is met by handoff.
+  RuntimeOptions o;
+  o.num_workers = 4;
+  Runtime rt(o);
+  Mutex m;
+  std::atomic<bool> stop{false};
+  Thread holder = rt.spawn([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      m.lock();
+      busy_spin_ns(2'000'000);
+      m.unlock();
+    }
+  });
+  int timeouts = 0;
+  Thread timed = rt.spawn([&] {
+    // Timeouts shorter than one hold, a bit longer (woken, lost, then out of
+    // time), and far past the starvation bound.
+    constexpr std::chrono::microseconds kTimeouts[] = {
+        std::chrono::microseconds(300), std::chrono::milliseconds(3),
+        std::chrono::milliseconds(30)};
+    for (int round = 0; round < 21; ++round) {
+      const std::chrono::microseconds timeout = kTimeouts[round % 3];
+      const bool short_wait = timeout < std::chrono::milliseconds(30);
+      const std::int64_t t0 = now_ns();
+      const bool got = m.try_lock_for(timeout);
+      const std::int64_t waited = now_ns() - t0;
+      EXPECT_EQ(got, m.held_by_caller());
+      if (got) {
+        m.unlock();
+      } else {
+        ++timeouts;
+        EXPECT_GE(waited, std::chrono::nanoseconds(timeout).count())
+            << "timed out before the deadline";
+      }
+      if (!short_wait) {
+        EXPECT_TRUE(got) << "no handoff within " << waited << " ns";
+      }
+      // Let the holder take the lock back, so the next round parks behind
+      // it instead of barging past it.
+      this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  timed.join();
+  stop.store(true, std::memory_order_relaxed);
+  holder.join();
+  EXPECT_GT(timeouts, 0) << "the holder never made the waiter time out";
+  // The mutex is still usable afterwards: no waiter left stranded on it.
+  Thread last = rt.spawn([&] {
+    m.lock();
+    m.unlock();
+  });
+  last.join();
+}
+
+TEST(IdleWakeup, ExternalSpawnOnIdleRuntimeDispatchesPromptly) {
+  // With the worker asleep in idle_wait, an external spawn must wake it at
+  // once. A lost wakeup would still be rescued by the 1 ms nap, so the median
+  // dispatch latency (not completion) is what exposes it: about 500 us when
+  // wakeups are lost. One worker, because with several the earliest of their
+  // staggered naps would rescue the spawn sooner and blur that signal.
+  RuntimeOptions o;
+  o.num_workers = 1;
+  Runtime rt(o);
+  std::vector<std::int64_t> lat;
+  for (int i = 0; i < 41; ++i) {
+    // Let the worker reach its futex nap; the varying gap spreads the spawn
+    // over the nap's phase, so a lost wakeup costs ~500 us on average.
+    usleep(2000 + (i * 379) % 1000);
+    std::atomic<std::int64_t> ran{0};
+    const std::int64_t t0 = now_ns();
+    Thread t = rt.spawn([&] { ran.store(now_ns(), std::memory_order_relaxed); });
+    t.join();
+    lat.push_back(ran.load(std::memory_order_relaxed) - t0);
+  }
+  std::sort(lat.begin(), lat.end());
+  EXPECT_LT(lat[lat.size() / 2], 250'000)
+      << "median external-spawn dispatch " << lat[lat.size() / 2] << " ns";
 }
 
 }  // namespace

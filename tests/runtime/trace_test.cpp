@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cpu.hpp"
 #include "common/time.hpp"
 #include "runtime/lpt.hpp"
 
@@ -122,9 +123,14 @@ TEST(TraceRuntime, ChromeExportParsesBack) {
   o.num_workers = 2;
   o.trace.enabled = true;
   Runtime rt(o);
+  // Gate: the first two ULTs busy-wait (no yield) until both have started,
+  // so each holds one of the two workers and both workers get a track.
+  std::atomic<int> started{0};
   std::vector<Thread> ts;
   for (int i = 0; i < 3; ++i)
-    ts.push_back(rt.spawn([] {
+    ts.push_back(rt.spawn([&started] {
+      started.fetch_add(1);
+      while (started.load() < 2) cpu_pause();
       for (int k = 0; k < 10; ++k) this_thread::yield();
     }));
   for (auto& t : ts) t.join();

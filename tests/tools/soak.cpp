@@ -2,12 +2,13 @@
 // cooperative cancels, directed-tick cancels under both preemption
 // techniques, per-spawn deadlines, timed waits, and blocking-pipe readers
 // that wedge their worker past the syscall grace (driving the wedge
-// sentinel's compensate/reabsorb cycle every batch) — with the remediation
-// ladder on, followed by leak checks no unit test can make: after Runtime
-// destruction the process is back to its baseline kernel-thread count (no
-// orphaned/pooled/compensating KLT survives shutdown), the compensation
-// books reconcile exactly, and a second Runtime in the same process starts
-// healthy and completes work. Exit 0 on success.
+// sentinel's compensate/reabsorb cycle every batch) and Mutex succession
+// churn — with the remediation ladder on, followed by leak checks no unit
+// test can make: after Runtime destruction the process is back to its
+// baseline kernel-thread count (no orphaned/pooled/compensating KLT
+// survives shutdown), the compensation books reconcile exactly, and a
+// second Runtime in the same process starts healthy and completes work.
+// Exit 0 on success.
 //
 //   soak [seconds]   (default 60)
 #include <dirent.h>
@@ -46,8 +47,48 @@ int task_count() {
   return n;
 }
 
+/// Mutex succession churn: ULTs of all three preemption types take one lock
+/// with lock() and try_lock_for(), with an occasional long section so timed
+/// waiters are woken, lose to bargers, and time out. The guarded count must
+/// come out exact, and a timed-out caller must never hold the lock.
+bool run_lock_batch(Runtime& rt) {
+  Mutex m;
+  long count = 0;  // guarded by m
+  std::atomic<long> taken{0};
+  std::atomic<bool> owned_on_timeout{false};
+  std::vector<Thread> ts;
+  for (int i = 0; i < 12; ++i) {
+    ThreadAttrs a;
+    a.preempt = i % 3 == 0   ? Preempt::None
+                : i % 3 == 1 ? Preempt::SignalYield
+                             : Preempt::KltSwitch;
+    ts.push_back(rt.spawn(
+        [&, i] {
+          for (int k = 0; k < 1000; ++k) {
+            if (i % 4 == 3) {
+              if (!m.try_lock_for(std::chrono::microseconds(200))) {
+                if (m.held_by_caller()) owned_on_timeout.store(true);
+                continue;
+              }
+            } else {
+              m.lock();
+            }
+            ++count;
+            taken.fetch_add(1, std::memory_order_relaxed);
+            if (k % 64 == 0) busy_spin_ns(20'000);
+            m.unlock();
+          }
+        },
+        a));
+  }
+  for (Thread& t : ts)
+    if (!t.join_for(std::chrono::seconds(30))) return false;
+  return !owned_on_timeout.load() && count == taken.load();
+}
+
 /// One batch of mixed work; returns false on any contract violation.
 bool run_batch(Runtime& rt, std::uint64_t round) {
+  if (!run_lock_batch(rt)) return false;
   std::vector<Thread> joiners;
 
   // Plain compute under both techniques — must finish untouched.
