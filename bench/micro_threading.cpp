@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/cpu.hpp"
+#include "common/time.hpp"
 #include "context/context.hpp"
 #include "context/stack.hpp"
 #include "runtime/lpt.hpp"
@@ -155,6 +156,44 @@ void BM_SpawnJoinFromUlt(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_SpawnJoinFromUlt);
+
+void BM_PriorityArrival(benchmark::State& state) {
+  // Preemption on arrival: an external priority-0 spawn until its first
+  // instruction runs, on the only worker, which a priority-1 SignalYield ULT
+  // hogs under a 10 ms timer. Without the arrival signal the spawn waits
+  // for the next tick (~5 ms on average). Manual time: spawn to first
+  // instruction only.
+  RuntimeOptions o;
+  o.num_workers = 1;
+  o.scheduler = SchedulerKind::Priority;
+  o.timer = TimerKind::PerWorkerAligned;
+  o.interval_us = 10'000;
+  Runtime rt(o);
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> spins{0};
+  ThreadAttrs low;
+  low.priority = 1;
+  low.preempt = Preempt::SignalYield;
+  Thread hog = rt.spawn(
+      [&] {
+        while (!stop.load(std::memory_order_relaxed))
+          spins.fetch_add(1, std::memory_order_relaxed);
+      },
+      low);
+  std::atomic<std::int64_t> started{0};
+  for (auto _ : state) {
+    // Untimed: wait until the hog runs again, so every spawn meets it.
+    const std::uint64_t seen = spins.load(std::memory_order_relaxed);
+    while (spins.load(std::memory_order_relaxed) == seen) cpu_pause();
+    const std::int64_t t0 = now_ns();
+    Thread t = rt.spawn([&] { started.store(now_ns()); });
+    t.join();
+    state.SetIterationTime(static_cast<double>(started.load() - t0) * 1e-9);
+  }
+  stop.store(true);
+  hog.join();
+}
+BENCHMARK(BM_PriorityArrival)->UseManualTime();
 
 void BM_BarrierTwoParties(benchmark::State& state) {
   run_in_ult(

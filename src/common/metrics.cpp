@@ -26,6 +26,7 @@ WorkerSample WorkerMetrics::sample() const {
   s.preempt_signal_yield = preempt_signal_yield.value();
   s.preempt_klt_switch = preempt_klt_switch.value();
   s.ticks_sent = ticks_sent.value();
+  s.preempt_kicks = preempt_kicks.value();
   s.handler_entries = handler_entries.value();
   s.handler_deferred = handler_deferred.value();
   s.klt_degraded_ticks = klt_degraded_ticks.value();
@@ -43,7 +44,8 @@ WorkerSample WorkerMetrics::sample() const {
 void Snapshot::finalize() {
   dispatches = yields = blocks = exits = steals = 0;
   preempt_signal_yield = preempt_klt_switch = preemptions = 0;
-  ticks_sent = handler_entries = handler_deferred = klt_degraded_ticks = 0;
+  ticks_sent = preempt_kicks = handler_entries = handler_deferred = 0;
+  klt_degraded_ticks = 0;
   ult_faults = stack_overflows = escaped_exceptions = ult_cancels = 0;
   syscall_blocks = 0;
   run_queue_depth = 0;
@@ -56,6 +58,7 @@ void Snapshot::finalize() {
     preempt_signal_yield += w.preempt_signal_yield;
     preempt_klt_switch += w.preempt_klt_switch;
     ticks_sent += w.ticks_sent;
+    preempt_kicks += w.preempt_kicks;
     handler_entries += w.handler_entries;
     handler_deferred += w.handler_deferred;
     klt_degraded_ticks += w.klt_degraded_ticks;
@@ -152,6 +155,10 @@ void write_prometheus(std::FILE* out, const Snapshot& s) {
       {"lpt_preempt_ticks_sent_total",
        "Preemption signals sent toward this worker.",
        &WorkerSample::ticks_sent},
+      {"lpt_preempt_kicks_total",
+       "Preemption-on-arrival signals sent toward this worker (a subset of "
+       "lpt_preempt_ticks_sent_total).",
+       &WorkerSample::preempt_kicks},
       {"lpt_preempt_handler_entries_total",
        "Preemption handler entries that found a preemptible ULT.",
        &WorkerSample::handler_entries},
@@ -415,6 +422,8 @@ void write_json(std::FILE* out, const Snapshot& s) {
                s.preempt_klt_switch);
   std::fprintf(out, "    \"preemptions\": %" PRIu64 ",\n", s.preemptions);
   std::fprintf(out, "    \"ticks_sent\": %" PRIu64 ",\n", s.ticks_sent);
+  std::fprintf(out, "    \"preempt_kicks\": %" PRIu64 ",\n",
+               s.preempt_kicks);
   std::fprintf(out, "    \"handler_entries\": %" PRIu64 ",\n",
                s.handler_entries);
   std::fprintf(out, "    \"handler_deferred\": %" PRIu64 ",\n",
@@ -536,7 +545,8 @@ void write_json(std::FILE* out, const Snapshot& s) {
         ", \"exits\": %" PRIu64 ", \"steals\": %" PRIu64
         ", \"preempt_signal_yield\": %" PRIu64
         ", \"preempt_klt_switch\": %" PRIu64 ", \"ticks_sent\": %" PRIu64
-        ", \"handler_entries\": %" PRIu64 ", \"handler_deferred\": %" PRIu64
+        ", \"preempt_kicks\": %" PRIu64 ", \"handler_entries\": %" PRIu64
+        ", \"handler_deferred\": %" PRIu64
         ", \"klt_degraded_ticks\": %" PRIu64
         ", \"posix_timer_fallback\": %s, \"time_in_state_ns\": "
         "{\"scheduling\": %" PRIu64 ", \"running\": %" PRIu64
@@ -544,8 +554,8 @@ void write_json(std::FILE* out, const Snapshot& s) {
         w.rank, worker_state_name(static_cast<WorkerState>(w.state)),
         w.parked ? "true" : "false", w.queue_depth, w.dispatches, w.yields,
         w.blocks, w.exits, w.steals, w.preempt_signal_yield,
-        w.preempt_klt_switch, w.ticks_sent, w.handler_entries,
-        w.handler_deferred, w.klt_degraded_ticks,
+        w.preempt_klt_switch, w.ticks_sent, w.preempt_kicks,
+        w.handler_entries, w.handler_deferred, w.klt_degraded_ticks,
         w.posix_timer_fallback ? "true" : "false", w.time_in_state_ns[0],
         w.time_in_state_ns[1], w.time_in_state_ns[2], w.time_in_state_ns[3],
         i + 1 < s.workers.size() ? "," : "");

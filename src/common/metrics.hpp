@@ -99,6 +99,7 @@ struct WorkerSample {
   std::uint64_t preempt_signal_yield = 0;
   std::uint64_t preempt_klt_switch = 0;
   std::uint64_t ticks_sent = 0;        ///< preemption signals sent at this worker
+  std::uint64_t preempt_kicks = 0;     ///< ... of which preemption on arrival
   std::uint64_t handler_entries = 0;   ///< handler hit a preemptible ULT
   std::uint64_t handler_deferred = 0;  ///< ... but a NoPreemptGuard deferred it
   std::uint64_t klt_degraded_ticks = 0;
@@ -128,6 +129,7 @@ struct alignas(64) WorkerMetrics {
 
   // -- signal-handler / cross-thread counters --
   AtomicCounter ticks_sent;         ///< written by timer threads + chain forwards
+  AtomicCounter preempt_kicks;      ///< arrival signals (also in ticks_sent)
   AtomicCounter handler_entries;    ///< written inside the preemption handler
   AtomicCounter handler_deferred;   ///< ditto (NoPreemptGuard defer path)
   AtomicCounter klt_degraded_ticks; ///< ditto (pool empty + creator saturated)
@@ -182,6 +184,7 @@ struct Snapshot {
   std::uint64_t preempt_klt_switch = 0;
   std::uint64_t preemptions = 0;  ///< signal_yield + klt_switch
   std::uint64_t ticks_sent = 0;
+  std::uint64_t preempt_kicks = 0;
   std::uint64_t handler_entries = 0;
   std::uint64_t handler_deferred = 0;
   std::uint64_t klt_degraded_ticks = 0;

@@ -853,8 +853,24 @@ void Runtime::enqueue_ready(ThreadCtl* t, Worker* hint, EnqueueKind kind,
     // ready stamp still feeds the dispatch delay, but there is no causal
     // wake edge to draw.
   }
+  // Choose before the enqueue: from then on t may run, finish and be freed.
+  Worker* victim =
+      kind == EnqueueKind::kSpawn || kind == EnqueueKind::kUnblock
+          ? sched_->arrival_victim(*t, hint)
+          : nullptr;
   sched_->enqueue(t, hint, kind);
   notify_work();
+  if (victim != nullptr) preempt_on_arrival(*victim);
+}
+
+void Runtime::preempt_on_arrival(Worker& w) {
+  // Burst guard: RT signals queue rather than coalesce, so without the claim
+  // a burst of N arrivals would queue N signals at one worker (and could
+  // crowd timer ticks out of the RT-signal queue). The scheduler skips
+  // claimed workers, so a burst spreads one signal per worker instead.
+  if (w.kick_pending.exchange(true, std::memory_order_acq_rel)) return;
+  w.metrics.preempt_kicks.add(1);
+  signals::send_preempt(w, signals::kArrivalKick);
 }
 
 void Runtime::idle_wait(std::uint32_t seen_seq) {

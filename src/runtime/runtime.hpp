@@ -282,6 +282,12 @@ class Runtime {
   void enqueue_ready(ThreadCtl* t, Worker* hint, EnqueueKind kind,
                      std::uint32_t waker = kWakerFromTls);
 
+  /// Preemption on arrival: send worker w one preemption signal so the
+  /// thread that just outranked its running ULT gets a core now instead of
+  /// at the next tick. At most one such signal is in flight per worker
+  /// (Worker::kick_pending).
+  void preempt_on_arrival(Worker& w);
+
   /// Wake one idle worker after an enqueue; no syscall when none sleeps.
   void notify_work();
   /// Wake every idle worker (shutdown, active-worker count changes).

@@ -15,11 +15,9 @@ void PriorityScheduler::init(Runtime& rt) {
   rt_ = &rt;
   high_.clear();
   low_.clear();
-  rngs_.clear();
   for (int i = 0; i < rt.num_workers(); ++i) {
     high_.push_back(std::make_unique<ThreadQueue>());
     low_.push_back(std::make_unique<ThreadQueue>());
-    rngs_.push_back(std::make_unique<Xoshiro256>(0x91e0u + i));
   }
 }
 
@@ -60,6 +58,30 @@ void PriorityScheduler::enqueue(ThreadCtl* t, Worker* hint, EnqueueKind kind) {
     high_[q]->push_back(t);
   else
     low_[q]->push_back(t);  // popped from the back → LIFO
+}
+
+Worker* PriorityScheduler::arrival_victim(const ThreadCtl& t,
+                                          const Worker* hint) {
+  if (t.priority > 0) return nullptr;  // the low class never outranks anyone
+  const int n = static_cast<int>(high_.size());
+  const int active = rt_->active_workers();
+  const int q = hint != nullptr ? hint->rank : t.home_pool % n;
+  Worker* victim = nullptr;
+  for (int step = 0; step < n; ++step) {
+    const int r = (q + step) % n;
+    if (r >= active) continue;  // parked by thread packing
+    Worker& w = rt_->worker(r);
+    if (w.metrics.state.load(std::memory_order_relaxed) !=
+        static_cast<std::uint8_t>(metrics::WorkerState::kRunningUlt))
+      return nullptr;  // idle or between threads: it will pick the arrival
+    if (victim == nullptr &&
+        w.current_preempt.load(std::memory_order_relaxed) !=
+            static_cast<std::uint8_t>(Preempt::None) &&
+        w.current_priority.load(std::memory_order_relaxed) > 0 &&
+        !w.kick_pending.load(std::memory_order_relaxed))
+      victim = &w;
+  }
+  return victim;
 }
 
 bool PriorityScheduler::has_work() const {

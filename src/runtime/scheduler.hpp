@@ -49,6 +49,19 @@ class Scheduler {
     (void)rank;
     return 0;
   }
+  /// Preemption on arrival: `t`, just spawned or unblocked, is about to be
+  /// enqueued with `hint` (same arguments as enqueue). Return the worker
+  /// whose running ULT `t` outranks and should preempt now, or nullptr to
+  /// let `t` wait for an idle worker or the next timer tick. The runtime
+  /// enqueues `t`, then sends the chosen worker one preemption signal
+  /// (Runtime::preempt_on_arrival). Reads of other workers' state are racy
+  /// by design: a stale answer costs one wasted signal or one tick of delay.
+  /// The default never preempts.
+  virtual Worker* arrival_victim(const ThreadCtl& t, const Worker* hint) {
+    (void)t;
+    (void)hint;
+    return nullptr;
+  }
 };
 
 /// Spinlock-protected deque of ready threads, shared building block.
@@ -161,12 +174,18 @@ class PriorityScheduler final : public Scheduler {
   void enqueue(ThreadCtl* t, Worker* hint, EnqueueKind kind) override;
   bool has_work() const override;
   std::int64_t queue_depth(int rank) const override;  ///< high + low
+  /// A high-class arrival preempts a worker running a preemptible low-class
+  /// ULT, but only while every active worker is busy running a ULT (an idle
+  /// or scheduling worker picks the arrival up without a signal). The scan
+  /// starts at the worker whose queue receives the arrival, so the victim
+  /// usually finds it locally and a stream of external spawns spreads over
+  /// the workers like their home pools do.
+  Worker* arrival_victim(const ThreadCtl& t, const Worker* hint) override;
 
  private:
   Runtime* rt_ = nullptr;
   std::vector<std::unique_ptr<ThreadQueue>> high_;  // FIFO per worker
   std::vector<std::unique_ptr<ThreadQueue>> low_;   // LIFO per worker
-  std::vector<std::unique_ptr<Xoshiro256>> rngs_;
 };
 
 }  // namespace lpt

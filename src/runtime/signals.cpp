@@ -101,14 +101,16 @@ void preempt_handler(int /*signo*/, siginfo_t* si, void* uctx) {
   const int initiator = si != nullptr ? si->si_value.sival_int : -1;
   if (w != nullptr && initiator >= 0) forward(rt, w->rank, initiator);
 
-  if (w == nullptr || !tls->in_ult) {
-    errno = saved_errno;
-    return;
-  }
+  // An arrival signal releases its worker's burst guard (Worker::
+  // kick_pending) once it lands, except when a NoPreemptGuard defers it
+  // below: the deferred preemption still owes the worker a dispatch, and
+  // the dispatch releases the guard.
+  const bool kick = w != nullptr && initiator == kArrivalKick;
   // Identity from the hosting KLT (WorkerTls::hosted_ult), not the worker:
   // after a forced KLT replacement w->current_ult is the *new* host's ULT.
-  ThreadCtl* t = tls->hosted_ult;
+  ThreadCtl* t = w != nullptr && tls->in_ult ? tls->hosted_ult : nullptr;
   if (t == nullptr || t->preempt == Preempt::None) {
+    if (kick) w->kick_pending.store(false, std::memory_order_relaxed);
     errno = saved_errno;
     return;
   }
@@ -129,6 +131,7 @@ void preempt_handler(int /*signo*/, siginfo_t* si, void* uctx) {
     errno = saved_errno;
     return;
   }
+  if (kick) w->kick_pending.store(false, std::memory_order_relaxed);
 
   // Claim scheduler-context ownership before touching it (worker.hpp
   // host_token). A failed claim means the watchdog force-replaced this KLT's

@@ -30,10 +30,15 @@ void block_runtime_signals();
 /// Unblock the preempt signal in the calling thread (worker KLTs).
 void unblock_preempt();
 
+/// initiator_rank of a preemption-on-arrival signal: per-worker delivery
+/// like -1, and the handler that serves it releases the target's burst guard
+/// (Worker::kick_pending).
+inline constexpr int kArrivalKick = -2;
+
 /// Deliver an initiate/forward preemption signal to worker w.
 /// initiator_rank == -1 means "per-worker delivery, do not forward";
-/// otherwise it identifies the chain/fan-out initiator (§3.2.2).
-/// Async-signal-safe.
+/// kArrivalKick marks a preemption-on-arrival signal; otherwise it
+/// identifies the chain/fan-out initiator (§3.2.2). Async-signal-safe.
 void send_preempt(Worker& w, int initiator_rank);
 
 /// Deliver one profiler sampling signal to worker w's current host KLT

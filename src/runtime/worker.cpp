@@ -397,14 +397,23 @@ void Worker::scheduler_loop() {
   LPT_CHECK_MSG(false, "worker scheduler context resumed after exit");
 }
 
+void Worker::publish_current(ThreadCtl* t) {
+  current_ult.store(t, std::memory_order_release);
+  current_preempt.store(static_cast<std::uint8_t>(t->preempt),
+                        std::memory_order_release);
+  current_priority.store(t->priority, std::memory_order_relaxed);
+  // A dispatch answers any arrival signal still in flight: whatever it was
+  // meant to make room for is picked by now or by the next dispatch.
+  if (kick_pending.load(std::memory_order_relaxed))
+    kick_pending.store(false, std::memory_order_relaxed);
+  metrics.set_state(metrics::WorkerState::kRunningUlt);
+}
+
 void Worker::run(ThreadCtl* t) {
   metrics.dispatches.inc();
   trace_dispatch(t);
   t->store_state(ThreadState::kRunning);
-  current_ult.store(t, std::memory_order_release);
-  current_preempt.store(static_cast<std::uint8_t>(t->preempt),
-                        std::memory_order_release);
-  metrics.set_state(metrics::WorkerState::kRunningUlt);
+  publish_current(t);
   WorkerTls* tls = worker_tls();
   tls->hosted_ult = t;
   // Publish scheduler-context ownership to the hosting KLT; whoever next
@@ -428,10 +437,7 @@ void Worker::run_resume_bound(ThreadCtl* t) {
   metrics.dispatches.inc();
   trace_dispatch(t);
   t->store_state(ThreadState::kRunning);
-  current_ult.store(t, std::memory_order_release);
-  current_preempt.store(static_cast<std::uint8_t>(t->preempt),
-                        std::memory_order_release);
-  metrics.set_state(metrics::WorkerState::kRunningUlt);
+  publish_current(t);
   current_klt.store(x, std::memory_order_release);
   current_tid.store(x->tid.load(std::memory_order_relaxed),
                     std::memory_order_release);

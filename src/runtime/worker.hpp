@@ -54,11 +54,19 @@ struct alignas(kCacheLineSize) Worker {
   Context sched_ctx;
   Stack sched_stack;
 
-  /// Currently running ULT and a raced-but-safe copy of its preemption mode
-  /// (timer threads read the mode without dereferencing the ULT).
+  /// Currently running ULT and raced-but-safe copies of its preemption mode
+  /// and priority (timer threads and the preemption-on-arrival check read
+  /// them without dereferencing the ULT).
   std::atomic<ThreadCtl*> current_ult{nullptr};
   std::atomic<std::uint8_t> current_preempt{
       static_cast<std::uint8_t>(Preempt::None)};
+  std::atomic<int> current_priority{0};
+  /// Burst guard for preemption on arrival (Runtime::preempt_on_arrival): a
+  /// sender claims it by exchange before signalling this worker, so at most
+  /// one arrival signal is in flight here. Cleared by the handler that
+  /// serves the signal (unless a NoPreemptGuard defers it), and by the next
+  /// dispatch in any case.
+  std::atomic<bool> kick_pending{false};
 
   /// Kernel thread currently hosting this worker, and its tid (targets for
   /// pthread_kill / SIGEV_THREAD_ID).
@@ -145,6 +153,9 @@ struct alignas(kCacheLineSize) Worker {
  private:
   void run(ThreadCtl* t);
   void run_resume_bound(ThreadCtl* t);  ///< KLT-switching resume protocol
+  /// Publish t as the running ULT (identity, preemption mode, priority) and
+  /// mark the worker running.
+  void publish_current(ThreadCtl* t);
   /// Dispatch trace event + preempt→reschedule histogram sample.
   void trace_dispatch(ThreadCtl* t);
   void process_post_action();

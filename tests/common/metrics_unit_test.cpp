@@ -61,6 +61,7 @@ metrics::Snapshot sample_snapshot() {
     w.preempt_signal_yield = 7 + r;
     w.preempt_klt_switch = 2 + r;
     w.ticks_sent = 50 + r;
+    w.preempt_kicks = 20 + r;
     w.handler_entries = 40 + r;
     w.handler_deferred = 4 + r;
     w.klt_degraded_ticks = 1 + r;
@@ -132,6 +133,7 @@ TEST(MetricsSnapshot, WorkerSampleCopiesEveryCounter) {
   m.preempt_signal_yield.inc(6);
   m.preempt_klt_switch.inc(7);
   m.ticks_sent.add(8);
+  m.preempt_kicks.add(12);
   m.handler_entries.add(9);
   m.handler_deferred.add(10);
   m.klt_degraded_ticks.add(11);
@@ -146,6 +148,7 @@ TEST(MetricsSnapshot, WorkerSampleCopiesEveryCounter) {
   EXPECT_EQ(w.preempt_signal_yield, 6u);
   EXPECT_EQ(w.preempt_klt_switch, 7u);
   EXPECT_EQ(w.ticks_sent, 8u);
+  EXPECT_EQ(w.preempt_kicks, 12u);
   EXPECT_EQ(w.handler_entries, 9u);
   EXPECT_EQ(w.handler_deferred, 10u);
   EXPECT_EQ(w.klt_degraded_ticks, 11u);
@@ -161,6 +164,7 @@ TEST(MetricsSnapshot, FinalizeSumsWorkers) {
   EXPECT_EQ(s.steals, 7u);
   EXPECT_EQ(s.preemptions, s.preempt_signal_yield + s.preempt_klt_switch);
   EXPECT_EQ(s.ticks_sent, 101u);
+  EXPECT_EQ(s.preempt_kicks, 41u);
   EXPECT_EQ(s.handler_entries, 81u);
   EXPECT_EQ(s.run_queue_depth, 1);
   EXPECT_NEAR(s.tick_effectiveness(), 81.0 / 101.0, 1e-9);
@@ -183,6 +187,8 @@ TEST(MetricsExposition, PrometheusRoundTripsThroughParser) {
   EXPECT_EQ(p.sum("lpt_dispatches_total", {{"worker", "1"}}), 101.0);
   EXPECT_EQ(p.sum("lpt_preemptions_total", {{"kind", "signal_yield"}}), 15.0);
   EXPECT_EQ(p.sum("lpt_preemptions_total", {{"kind", "klt_switch"}}), 5.0);
+  EXPECT_EQ(p.sum("lpt_preempt_kicks_total"), 41.0);
+  EXPECT_EQ(p.sum("lpt_preempt_kicks_total", {{"worker", "1"}}), 21.0);
   EXPECT_EQ(p.sum("lpt_run_queue_depth"), 1.0);
   EXPECT_EQ(p.sum("lpt_ults_spawned_total"), 200.0);
   EXPECT_EQ(p.sum("lpt_ults_live"), 3.0);
@@ -216,6 +222,8 @@ TEST(MetricsExposition, JsonIsBalancedAndCarriesTotals) {
   EXPECT_EQ(depth, 0);
   EXPECT_EQ(brackets, 0);
   EXPECT_NE(text.find("\"dispatches\": 201"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"preempt_kicks\": 41"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"preempt_kicks\": 21"), std::string::npos) << text;
   EXPECT_NE(text.find("\"workers\""), std::string::npos);
   EXPECT_NE(text.find("\"tick_effectiveness\""), std::string::npos);
 }

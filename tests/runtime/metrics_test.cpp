@@ -172,8 +172,9 @@ TEST(Metrics, PrometheusRoundTrip) {
   for (const char* fam :
        {"lpt_dispatches_total", "lpt_yields_total", "lpt_steals_total",
         "lpt_preemptions_total", "lpt_preempt_ticks_sent_total",
-        "lpt_preempt_handler_entries_total", "lpt_watchdog_flags_total",
-        "lpt_ults_spawned_total", "lpt_klts_created_total"})
+        "lpt_preempt_kicks_total", "lpt_preempt_handler_entries_total",
+        "lpt_watchdog_flags_total", "lpt_ults_spawned_total",
+        "lpt_klts_created_total"})
     EXPECT_TRUE(p.has_family(fam)) << fam;
   for (const char* gauge :
        {"lpt_run_queue_depth", "lpt_ults_live", "lpt_klt_pool_idle",

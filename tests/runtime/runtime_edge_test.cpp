@@ -6,8 +6,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -292,6 +294,252 @@ TEST(PriorityLive, AnalysisEvictedWhenSimulationArrives) {
   // Must be on the order of the preemption interval, not the spin duration.
   EXPECT_LT(high_latency_ns.load(), 100'000'000);
   EXPECT_GT(rt.total_preemptions(), 0u);
+}
+
+/// Low-priority compute hogs for the preemption-on-arrival tests: one
+/// priority-1 ULT per entry of `kinds`, each spinning until stop(). With
+/// `guarded`, each hog first spins inside a NoPreemptGuard until release().
+/// The constructor returns once every hog runs, so with one hog per worker
+/// every worker is busy; rank(i) is the worker hog i started on.
+class Hogs {
+ public:
+  Hogs(Runtime& rt, std::vector<Preempt> kinds, bool guarded = false)
+      : ranks_(kinds.size()) {
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      ThreadAttrs a;
+      a.priority = 1;
+      a.preempt = kinds[i];
+      threads_.push_back(rt.spawn(
+          [this, i, guarded] {
+            ranks_[i].store(this_thread::worker_rank());
+            if (guarded) {
+              NoPreemptGuard g;
+              started_.fetch_add(1);
+              while (!release_.load(std::memory_order_acquire)) cpu_pause();
+            } else {
+              started_.fetch_add(1);
+            }
+            while (!stop_.load(std::memory_order_acquire)) cpu_pause();
+          },
+          a));
+    }
+    while (started_.load() < static_cast<int>(kinds.size())) usleep(100);
+  }
+  ~Hogs() { stop(); }
+  int rank(std::size_t i) const { return ranks_[i].load(); }
+  void release() { release_.store(true, std::memory_order_release); }
+  void stop() {
+    release();
+    stop_.store(true, std::memory_order_release);
+    for (auto& t : threads_) t.join();
+    threads_.clear();
+  }
+
+ private:
+  std::vector<std::atomic<int>> ranks_;
+  std::atomic<int> started_{0};
+  std::atomic<bool> release_{false};
+  std::atomic<bool> stop_{false};
+  std::vector<Thread> threads_;
+};
+
+std::int64_t median_ns(std::vector<std::int64_t> v) {
+  if (v.empty()) return -1;
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+RuntimeOptions priority_options(TimerKind timer, std::int64_t interval_us) {
+  RuntimeOptions o;
+  o.num_workers = 2;
+  o.scheduler = SchedulerKind::Priority;
+  o.timer = timer;
+  o.interval_us = interval_us;
+  return o;
+}
+
+TEST(PriorityLive, ArrivalPreemptsWithoutWaitingForTick) {
+  // Preemption on arrival: both workers are hogged by low-priority
+  // preemptible ULTs, and the 100 ms tick is far too slow to explain a
+  // ms-scale start. A high-priority arrival must get a core through its
+  // own preemption signal, under both signal-yield and KLT-switch victims.
+  Runtime rt(priority_options(TimerKind::PerWorkerAligned, 100'000));
+  Hogs hogs(rt, {Preempt::SignalYield, Preempt::KltSwitch});
+  ASSERT_NE(hogs.rank(0), hogs.rank(1));
+
+  // (1) External spawns. The home pools alternate, so the victims do too;
+  // latency is grouped by the kind of hog the arrival displaced.
+  std::vector<std::int64_t> by_kind[2];
+  for (int i = 0; i < 30; ++i) {
+    usleep(1000);  // let the last victim resume its hog
+    std::atomic<std::int64_t> started{0};
+    std::atomic<int> rank{-1};
+    const std::int64_t t0 = now_ns();
+    Thread t = rt.spawn([&] {
+      started.store(now_ns());
+      rank.store(this_thread::worker_rank());
+    });
+    t.join();
+    by_kind[rank.load() == hogs.rank(0) ? 0 : 1].push_back(started.load() - t0);
+  }
+  for (int k = 0; k < 2; ++k) {
+    ASSERT_GE(by_kind[k].size(), 5u) << (k == 0 ? "SignalYield" : "KltSwitch");
+    EXPECT_LT(median_ns(by_kind[k]), 2'000'000)
+        << (k == 0 ? "SignalYield" : "KltSwitch") << " victims";
+  }
+
+  // (2) Wakeups by an external thread: a CondVar waiter homed on the
+  // signal-yield hog's worker, a Semaphore waiter on the KLT-switch one.
+  // Each round waits until the waiter has blocked (a block is counted once
+  // the context is saved, so the wakeup cannot miss it) and its worker is
+  // back on the hog, then wakes it.
+  constexpr int kRounds = 10;
+  std::atomic<std::int64_t> t0{0};
+  std::atomic<int> done{0};
+  auto drive = [&](std::uint64_t blocks0, const std::function<void()>& wake) {
+    for (int i = 0; i < kRounds; ++i) {
+      while (rt.metrics_snapshot().blocks < blocks0 + i + 1) usleep(50);
+      usleep(1000);
+      t0.store(now_ns());
+      wake();
+      while (done.load() != i + 1) usleep(50);
+    }
+  };
+  ThreadAttrs high;
+  high.home_pool = hogs.rank(0);
+  Mutex m;
+  CondVar cv;
+  std::vector<std::int64_t> cv_lat;
+  std::uint64_t blocks0 = rt.metrics_snapshot().blocks;
+  Thread cv_waiter = rt.spawn(
+      [&] {
+        for (int i = 0; i < kRounds; ++i) {
+          m.lock();
+          cv.wait(m);  // spurious-wakeup-free: no predicate needed
+          cv_lat.push_back(now_ns() - t0.load());
+          m.unlock();
+          done.fetch_add(1);
+        }
+      },
+      high);
+  drive(blocks0, [&] { cv.notify_one(); });
+  cv_waiter.join();
+  EXPECT_LT(median_ns(cv_lat), 2'000'000) << "CondVar wakeups";
+
+  high.home_pool = hogs.rank(1);
+  Semaphore sem(0);
+  std::vector<std::int64_t> sem_lat;
+  done.store(0);
+  blocks0 = rt.metrics_snapshot().blocks;
+  Thread sem_waiter = rt.spawn(
+      [&] {
+        for (int i = 0; i < kRounds; ++i) {
+          sem.acquire();
+          sem_lat.push_back(now_ns() - t0.load());
+          done.fetch_add(1);
+        }
+      },
+      high);
+  drive(blocks0, [&] { sem.release(); });
+  sem_waiter.join();
+  EXPECT_LT(median_ns(sem_lat), 2'000'000) << "Semaphore wakeups";
+
+  const metrics::Snapshot s = rt.metrics_snapshot();
+  EXPECT_GT(s.preempt_kicks, 0u);
+  EXPECT_LE(s.preempt_kicks, s.ticks_sent);  // arrival signals are ticks too
+  EXPECT_GT(s.preempt_signal_yield, 0u);
+  EXPECT_GT(s.preempt_klt_switch, 0u);
+}
+
+/// Spawn `n` ULTs of `priority` from this (external) thread; each bumps
+/// `done` when it runs.
+std::vector<Thread> spawn_arrivals(Runtime& rt, int n, int priority,
+                                   std::atomic<int>& done) {
+  std::vector<Thread> ts;
+  ThreadAttrs a;
+  a.priority = priority;
+  for (int i = 0; i < n; ++i)
+    ts.push_back(rt.spawn([&] { done.fetch_add(1); }, a));
+  return ts;
+}
+
+std::uint64_t watchdog_flags(const metrics::Snapshot& s) {
+  return s.watchdog_runnable_starvation + s.watchdog_worker_stall +
+         s.watchdog_quantum_overrun + s.watchdog_fault_storm +
+         s.watchdog_syscall_blocked + s.watchdog_deadlock +
+         s.watchdog_abandoned_lock;
+}
+
+/// A burst of 1000 high-priority spawns while both workers run guarded
+/// low-priority hogs: no worker can dispatch until release(), so each gets
+/// at most the one arrival signal its burst guard admits. Afterwards every
+/// arrival runs and the watchdog stays quiet.
+void guarded_burst(TimerKind timer) {
+  Runtime rt(priority_options(timer, 10'000));
+  Hogs hogs(rt, {Preempt::SignalYield, Preempt::KltSwitch}, /*guarded=*/true);
+  const metrics::Snapshot before = rt.metrics_snapshot();
+  std::atomic<int> done{0};
+  std::vector<Thread> ts = spawn_arrivals(rt, 1000, 0, done);
+  usleep(2000);  // let the signals land
+  const metrics::Snapshot during = rt.metrics_snapshot();
+  std::uint64_t kicks = 0;
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_EQ(during.workers[r].dispatches, before.workers[r].dispatches)
+        << "worker " << r << " dispatched inside its guard";
+    const std::uint64_t k =
+        during.workers[r].preempt_kicks - before.workers[r].preempt_kicks;
+    EXPECT_LE(k, 1u) << "worker " << r;
+    kicks += k;
+  }
+  EXPECT_GE(kicks, 1u);
+  hogs.release();
+  // Bounded wait: without the arrival signal and without a timer nothing
+  // would ever preempt the hogs, and the test must fail, not hang.
+  const std::int64_t deadline = now_ns() + 10'000'000'000;
+  while (done.load() < 1000 && now_ns() < deadline) usleep(1000);
+  EXPECT_EQ(done.load(), 1000);
+  hogs.stop();
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(watchdog_flags(rt.metrics_snapshot()), 0u);
+}
+
+TEST(PriorityLive, ArrivalKicksOnlyWhenItOutranks) {
+  std::atomic<int> done{0};
+  {  // Equal priority: a priority-1 arrival outranks no priority-1 hog.
+    Runtime rt(priority_options(TimerKind::PerWorkerAligned, 100'000));
+    Hogs hogs(rt, {Preempt::SignalYield, Preempt::KltSwitch});
+    std::vector<Thread> ts = spawn_arrivals(rt, 20, 1, done);
+    usleep(2000);
+    EXPECT_EQ(rt.metrics_snapshot().preempt_kicks, 0u) << "equal priority";
+    hogs.stop();
+    for (auto& t : ts) t.join();
+  }
+  {  // Preempt::None holders cannot be preempted, so they are not signalled.
+    Runtime rt(priority_options(TimerKind::PerWorkerAligned, 100'000));
+    Hogs hogs(rt, {Preempt::None, Preempt::None});
+    std::vector<Thread> ts = spawn_arrivals(rt, 20, 0, done);
+    usleep(2000);
+    EXPECT_EQ(rt.metrics_snapshot().preempt_kicks, 0u) << "Preempt::None";
+    hogs.stop();
+    for (auto& t : ts) t.join();
+  }
+  {  // An idle worker takes the arrival without a signal.
+    Runtime rt(priority_options(TimerKind::PerWorkerAligned, 100'000));
+    Hogs hogs(rt, {Preempt::SignalYield});
+    for (int i = 0; i < 20; ++i) rt.spawn([&] { done.fetch_add(1); }).join();
+    EXPECT_EQ(rt.metrics_snapshot().preempt_kicks, 0u) << "idle worker";
+  }
+  {  // Work stealing keeps the default hook: arrivals wait for a tick.
+    RuntimeOptions o = priority_options(TimerKind::PerWorkerAligned, 1000);
+    o.scheduler = SchedulerKind::WorkStealing;
+    Runtime rt(o);
+    Hogs hogs(rt, {Preempt::SignalYield, Preempt::KltSwitch});
+    std::vector<Thread> ts = spawn_arrivals(rt, 20, 0, done);
+    for (auto& t : ts) t.join();
+    EXPECT_EQ(rt.metrics_snapshot().preempt_kicks, 0u) << "work stealing";
+  }
+  guarded_burst(TimerKind::PerWorkerAligned);
+  guarded_burst(TimerKind::None);
 }
 
 TEST(Detached, ManyDetachedThreadsDrainBeforeShutdown) {

@@ -219,11 +219,19 @@ TEST(Preemption, MixedThreadTypesCoexist) {
   // §3.4: nonpreemptive + signal-yield + KLT-switching in one application.
   Runtime rt(preemptive_opts(2, TimerKind::PerWorkerAligned, 1000));
   std::atomic<bool> flag{false};
+  std::atomic<int> spinning{0};
   ThreadAttrs sy, ks;
   sy.preempt = Preempt::SignalYield;
   ks.preempt = Preempt::KltSwitch;
-  Thread spinner_sy = rt.spawn([&] { ASSERT_TRUE(spin_until(flag, 20'000)); }, sy);
-  Thread spinner_ks = rt.spawn([&] { ASSERT_TRUE(spin_until(flag, 20'000)); }, ks);
+  auto spinner = [&] {
+    spinning.fetch_add(1);
+    ASSERT_TRUE(spin_until(flag, 20'000));
+  };
+  Thread spinner_sy = rt.spawn(spinner, sy);
+  Thread spinner_ks = rt.spawn(spinner, ks);
+  // Both workers are taken before the cooperative thread exists, so it can
+  // only run once a spinner is preempted.
+  while (spinning.load() < 2) usleep(100);
   Thread coop = rt.spawn([&] {
     for (int i = 0; i < 5; ++i) this_thread::yield();
     flag.store(true);
