@@ -147,6 +147,55 @@ void BM_MutexContended(benchmark::State& state) {
 }
 BENCHMARK(BM_MutexContended)->UseRealTime();
 
+void BM_RwLockSharedContended(benchmark::State& state) {
+  // 16 ULTs on 4 workers take one RwLock shared around a short read: the
+  // timed ULT plus 15 peers running the same loop, each yielding after
+  // every 4th section so all 16 rotate over the workers. Readers never
+  // exclude each other, so this is the cost of the read path itself and of
+  // the cache lines it shares. Time is per section of the timed ULT (wall
+  // clock); items/s counts every ULT's sections.
+  run_in_ult(
+      state,
+      [](benchmark::State& s, Runtime& rt) {
+        constexpr int kUlts = 16;
+        struct alignas(64) Count {
+          std::atomic<long> n{0};
+        };
+        RwLock rw;
+        long config = 1;  // read under rw
+        std::vector<Count> counts(kUlts);
+        std::atomic<bool> stop{false};
+        auto section = [&](Count& c) {
+          rw.lock_shared();
+          long v = config;
+          for (int i = 0; i < 16; ++i) cpu_pause();
+          benchmark::DoNotOptimize(v);
+          rw.unlock_shared();
+          const long n = c.n.load(std::memory_order_relaxed) + 1;
+          c.n.store(n, std::memory_order_relaxed);
+          if (n % 4 == 0) this_thread::yield();
+        };
+        auto total = [&] {
+          long sum = 0;
+          for (Count& c : counts) sum += c.n.load(std::memory_order_relaxed);
+          return sum;
+        };
+        std::vector<Thread> peers;
+        for (int i = 1; i < kUlts; ++i)
+          peers.push_back(rt.spawn([&, i] {
+            while (!stop.load(std::memory_order_relaxed)) section(counts[i]);
+          }));
+        const long before = total();
+        for (auto _ : s) section(counts[0]);
+        const long during = total() - before;
+        stop.store(true, std::memory_order_relaxed);
+        for (auto& p : peers) p.join();
+        s.SetItemsProcessed(during);
+      },
+      4);
+}
+BENCHMARK(BM_RwLockSharedContended)->UseRealTime();
+
 void BM_SpawnJoinFromUlt(benchmark::State& state) {
   run_in_ult(state, [](benchmark::State& s, Runtime& rt) {
     for (auto _ : s) {

@@ -150,17 +150,22 @@ rm -f "$TRACE_EVENTS" "$TRACE_METRICS" "$TRACE_JSON"
 echo "== [13/14] self-healing soak (scripts/soak.sh, short) =="
 SOAK_SECONDS=5 scripts/soak.sh "$BUILD"
 
-echo "== [14/14] Mutex succession + idle wakeup + preemption on arrival, repeated =="
+echo "== [14/14] Mutex + RwLock succession, idle wakeup, preemption on arrival, repeated =="
 # A lost wakeup or a succession race shows up only across many runs: the
 # barging-Mutex stress tests (exact counts under all three preemption
 # types, the starvation bound, timed waiters that never own the lock on
 # timeout) and the idle-runtime external-spawn latency guard, 20 times.
-# The soak lock batch (lock() and try_lock_for() churn) runs in every round
-# of stage 13. The priority scheduler's preemption-on-arrival tests (start
-# latency without a tick, no signal unless the arrival outranks, the burst
-# guard under a timer and under TimerKind::None) repeat 20 times as well.
+# The soak lock batches (Mutex lock() and try_lock_for() churn, RwLock
+# reader/writer churn) run in every round of stage 13. The RwLock tests
+# (reader slots under migration with exact writer counts, the broken-writer
+# and abandoned-reader paths) repeat 20 times. The priority scheduler's
+# preemption-on-arrival tests (start latency without a tick, no signal
+# unless the arrival outranks, the burst guard under a timer and under
+# TimerKind::None) repeat 20 times as well.
 "$BUILD/tests/test_runtime_sync" \
   --gtest_filter='MutexStress.*:IdleWakeup.*' --gtest_repeat=20
+"$BUILD/tests/test_sync_extra" \
+  --gtest_filter='RwLock*' --gtest_repeat=20
 "$BUILD/tests/test_runtime_edge" \
   --gtest_filter='PriorityLive.*' --gtest_repeat=20
 

@@ -88,9 +88,11 @@ ResourceState* acquire_resource(std::uint8_t kind, void* primitive,
 /// a normally-exiting thread skip the abandonment scan in O(1). add_owner
 /// sets owner_overflow instead of inserting when all slots are taken;
 /// remove_owner decrements only when it actually cleared a slot, keeping the
-/// two in agreement. Callers serialize per resource via the primitive's
-/// guard (or the handoff discipline: a waker edits on behalf of a thread it
-/// exclusively owns).
+/// two in agreement. Each edit is one CAS on one owner slot, so edits for
+/// different threads may race: RwLock readers add and remove themselves
+/// without the primitive's guard. Edits for one thread come from that
+/// thread, or from a waker acting on behalf of a thread it exclusively owns
+/// (the handoff discipline).
 void add_owner(ResourceState* rs, ThreadCtl* t);
 void remove_owner(ResourceState* rs, ThreadCtl* t);
 

@@ -1,12 +1,14 @@
 #include "runtime/sync_extra.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
 
+#include "common/cpu.hpp"
 #include "common/time.hpp"
 #include "runtime/lpt.hpp"
 
@@ -100,6 +102,204 @@ TEST(RwLock, WriterNotStarvedByReaders) {
   writer.join();
   for (auto& t : readers) t.join();
   EXPECT_TRUE(writer_done.load()) << "writer starved";
+}
+
+// ---------------------------------------------------------------------------
+// RwLock stress: per-worker reader slots under migration, writer handoff
+// and the deadlock / abandonment paths
+// ---------------------------------------------------------------------------
+
+bool wait_until(const std::atomic<bool>& flag, std::int64_t timeout_ns) {
+  const std::int64_t deadline = now_ns() + timeout_ns;
+  while (!flag.load(std::memory_order_acquire)) {
+    if (now_ns() > deadline) return false;
+    usleep(1000);
+  }
+  return true;
+}
+
+/// 16 ULTs on 4 workers: 4 writers keep `a == b`, 12 readers check it.
+/// Readers yield inside the read section, so they leave on another worker
+/// than they entered on and single reader slots go negative; the writers'
+/// count must still come out exact and no reader may see a torn pair.
+void run_rwlock_stress(Preempt preempt) {
+  RuntimeOptions o;
+  o.num_workers = 4;
+  if (preempt != Preempt::None) {
+    o.timer = TimerKind::PerWorkerAligned;
+    o.interval_us = 1000;
+  }
+  Runtime rt(o);
+  RwLock rw;
+  constexpr int kUlts = 16;
+  constexpr int kWriters = 4;
+  constexpr int kIters = 10000;
+  long a = 0, b = 0;  // guarded by rw
+  std::atomic<long> torn{0}, migrated{0};
+  ThreadAttrs attrs;
+  attrs.preempt = preempt;
+  std::vector<Thread> ts;
+  for (int i = 0; i < kUlts; ++i) {
+    const bool writer = i % (kUlts / kWriters) == 0;
+    ts.push_back(rt.spawn(
+        [&, writer] {
+          for (int k = 0; k < kIters; ++k) {
+            if (writer) {
+              rw.lock();
+              const long seen = a;
+              a = seen + 1;
+              for (int spin = 0; spin < 16; ++spin) cpu_pause();  // widen races
+              b = seen + 1;
+              rw.unlock();
+            } else {
+              rw.lock_shared();
+              const int entered_on = this_thread::worker_rank();
+              const long x = a;
+              if (k % 4 == 0) this_thread::yield();  // migrate mid-section
+              for (int spin = 0; spin < 16; ++spin) cpu_pause();
+              if (b != x) torn.fetch_add(1, std::memory_order_relaxed);
+              if (this_thread::worker_rank() != entered_on)
+                migrated.fetch_add(1, std::memory_order_relaxed);
+              rw.unlock_shared();
+            }
+          }
+        },
+        attrs));
+  }
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(torn.load(), 0) << "a reader overlapped a writer";
+  EXPECT_GT(migrated.load(), 0) << "no reader left on another worker";
+  EXPECT_EQ(a, static_cast<long>(kWriters) * kIters);
+  EXPECT_EQ(b, a);
+}
+
+TEST(RwLockStress, ExactCountNonpreemptive) {
+  run_rwlock_stress(Preempt::None);
+}
+TEST(RwLockStress, ExactCountSignalYield) {
+  run_rwlock_stress(Preempt::SignalYield);
+}
+TEST(RwLockStress, ExactCountKltSwitch) {
+  run_rwlock_stress(Preempt::KltSwitch);
+}
+
+RuntimeOptions remediating_opts(int workers) {
+  RuntimeOptions o;
+  o.num_workers = workers;
+  o.timer = TimerKind::PerWorkerAligned;
+  o.interval_us = 2'000;
+  o.watchdog_period_ms = 20;
+  o.remediation = true;
+  return o;
+}
+
+TEST(RwLockStress, BrokenWriterDoesNotStallReaders) {
+  // R holds a share and joins W; W waits to write, so W -> rw -> R -> W is
+  // a cycle and the breaker cancels W (the younger member). Q queued as a
+  // reader behind W's announcement while R still holds its share: once W
+  // is broken out, Q must get in beside R, not wait for R to leave.
+  Runtime rt(remediating_opts(3));
+  RwLock rw;
+  std::atomic<bool> r_holds{false}, w_spawned{false}, w_trying{false};
+  std::atomic<bool> q_in{false}, q_in_beside_r{false};
+  std::atomic<int> w_fault{-1};
+  Thread w;  // written by the main thread before w_spawned is released
+  Thread r = rt.spawn([&] {
+    rw.lock_shared();
+    r_holds.store(true, std::memory_order_release);
+    while (!w_spawned.load(std::memory_order_acquire)) this_thread::yield();
+    w_fault.store(static_cast<int>(w.join_status().fault.kind),
+                  std::memory_order_release);
+    const std::int64_t deadline = now_ns() + 5'000'000'000ll;
+    while (!q_in.load(std::memory_order_acquire) && now_ns() < deadline)
+      this_thread::yield();
+    q_in_beside_r.store(q_in.load(std::memory_order_acquire),
+                        std::memory_order_release);
+    rw.unlock_shared();
+  });
+  ASSERT_TRUE(wait_until(r_holds, 2'000'000'000));
+  w = rt.spawn([&] {
+    w_trying.store(true, std::memory_order_release);
+    rw.lock();
+    ADD_FAILURE() << "W is the victim; its lock() must not succeed";
+    rw.unlock();
+  });
+  w_spawned.store(true, std::memory_order_release);
+  ASSERT_TRUE(wait_until(w_trying, 2'000'000'000));
+  usleep(5'000);  // let W announce itself and park
+  Thread q = rt.spawn([&] {
+    rw.lock_shared();
+    q_in.store(true, std::memory_order_release);
+    rw.unlock_shared();
+  });
+  EXPECT_EQ(q.join_status().fault.kind, FaultKind::kNone);
+  EXPECT_EQ(r.join_status().fault.kind, FaultKind::kNone);
+  EXPECT_EQ(w_fault.load(), static_cast<int>(FaultKind::kDeadlock));
+  EXPECT_TRUE(q_in_beside_r.load())
+      << "the broken writer's announcement kept Q out until R left";
+  const Runtime::Stats s = rt.stats();
+  EXPECT_EQ(s.deadlock_cycles, 1u);
+  EXPECT_EQ(s.remediations_deadlock_break, 1u);
+}
+
+TEST(RwLockStress, WriteThenReadCaughtAtLockShared) {
+  // lock_shared() under our own write lock backs out of the reader slot on
+  // seeing the writer word; the slow path must still catch the 1-cycle
+  // synchronously instead of parking behind ourselves.
+  Runtime rt(remediating_opts(1));
+  RwLock rw;
+  Thread t = rt.spawn([&] {
+    rw.lock();
+    rw.lock_shared();
+    ADD_FAILURE() << "write-then-read must not return";
+  });
+  EXPECT_EQ(t.join_status().fault.kind, FaultKind::kDeadlock);
+  const Runtime::Stats s = rt.stats();
+  EXPECT_EQ(s.self_deadlocks, 1u);
+  EXPECT_EQ(s.deadlock_cycles, 1u);
+}
+
+TEST(RwLockStress, AbandonedReaderReleasedToWriter) {
+  // A reader cancelled while holding its share: with abandon_release its
+  // share is dropped and the parked writer gets in. Later writers and
+  // readers still find an exact reader count (none hangs, none aborts).
+  RuntimeOptions o = remediating_opts(2);
+  o.abandon_release = true;
+  Runtime rt(o);
+  RwLock rw;
+  std::atomic<bool> r_in{false}, w_trying{false}, w_done{false};
+  Thread r = rt.spawn([&] {
+    rw.lock_shared();
+    r_in.store(true, std::memory_order_release);
+    for (;;) this_thread::yield();  // cancellation point; never unlocks
+  });
+  ASSERT_TRUE(wait_until(r_in, 2'000'000'000));
+  Thread w = rt.spawn([&] {
+    w_trying.store(true, std::memory_order_release);
+    rw.lock();
+    rw.unlock();
+    w_done.store(true, std::memory_order_release);
+  });
+  ASSERT_TRUE(wait_until(w_trying, 2'000'000'000));
+  usleep(10'000);  // let the writer park behind the reader
+
+  EXPECT_TRUE(r.request_cancel());
+  EXPECT_EQ(r.join_status().fault.kind, FaultKind::kCancelled);
+  ASSERT_TRUE(wait_until(w_done, 5'000'000'000))
+      << "the dead reader's share still holds the writer out";
+  EXPECT_EQ(w.join_status().fault.kind, FaultKind::kNone);
+  Thread after = rt.spawn([&] {
+    rw.lock_shared();
+    rw.unlock_shared();
+    rw.lock();
+    rw.unlock();
+  });
+  EXPECT_EQ(after.join_status().fault.kind, FaultKind::kNone);
+
+  const Runtime::Stats s = rt.stats();
+  EXPECT_EQ(s.abandoned_locks, 1u);
+  EXPECT_EQ(s.abandoned_released, 1u);
+  EXPECT_EQ(s.deadlock_cycles, 0u);
 }
 
 // ---------------------------------------------------------------------------

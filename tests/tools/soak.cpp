@@ -2,12 +2,13 @@
 // cooperative cancels, directed-tick cancels under both preemption
 // techniques, per-spawn deadlines, timed waits, and blocking-pipe readers
 // that wedge their worker past the syscall grace (driving the wedge
-// sentinel's compensate/reabsorb cycle every batch) and Mutex succession
-// churn — with the remediation ladder on, followed by leak checks no unit
-// test can make: after Runtime destruction the process is back to its
-// baseline kernel-thread count (no orphaned/pooled/compensating KLT
-// survives shutdown), the compensation books reconcile exactly, and a
-// second Runtime in the same process starts healthy and completes work.
+// sentinel's compensate/reabsorb cycle every batch), Mutex succession
+// churn and RwLock reader/writer churn — with the remediation ladder on,
+// followed by leak checks no unit test can make: after Runtime destruction
+// the process is back to its baseline kernel-thread count (no
+// orphaned/pooled/compensating KLT survives shutdown), the compensation
+// books reconcile exactly, and a second Runtime in the same process starts
+// healthy and completes work.
 // Exit 0 on success.
 //
 //   soak [seconds]   (default 60)
@@ -86,9 +87,55 @@ bool run_lock_batch(Runtime& rt) {
   return !owned_on_timeout.load() && count == taken.load();
 }
 
+/// RwLock churn: readers of all three preemption types yield inside their
+/// read sections (so they leave on another worker than they entered on)
+/// while one writer keeps two fields equal. No reader may see them differ,
+/// and the writer's count must come out exact.
+bool run_rwlock_batch(Runtime& rt) {
+  RwLock rw;
+  long a = 0, b = 0;  // guarded by rw
+  std::atomic<bool> torn{false};
+  constexpr int kWrites = 2000;
+  std::vector<Thread> ts;
+  ThreadAttrs wa;
+  wa.preempt = Preempt::SignalYield;
+  ts.push_back(rt.spawn(
+      [&] {
+        for (int k = 0; k < kWrites; ++k) {
+          rw.lock();
+          a = a + 1;
+          busy_spin_ns(1'000);  // b lags a inside the write section
+          b = a;
+          rw.unlock();
+        }
+      },
+      wa));
+  for (int i = 0; i < 9; ++i) {
+    ThreadAttrs ra;
+    ra.preempt = i % 3 == 0   ? Preempt::None
+                 : i % 3 == 1 ? Preempt::SignalYield
+                              : Preempt::KltSwitch;
+    ts.push_back(rt.spawn(
+        [&] {
+          for (int k = 0; k < 2000; ++k) {
+            rw.lock_shared();
+            const long x = a;
+            if (k % 8 == 0) this_thread::yield();
+            if (b != x) torn.store(true);
+            rw.unlock_shared();
+          }
+        },
+        ra));
+  }
+  for (Thread& t : ts)
+    if (!t.join_for(std::chrono::seconds(30))) return false;
+  return !torn.load() && a == kWrites && b == kWrites;
+}
+
 /// One batch of mixed work; returns false on any contract violation.
 bool run_batch(Runtime& rt, std::uint64_t round) {
   if (!run_lock_batch(rt)) return false;
+  if (!run_rwlock_batch(rt)) return false;
   std::vector<Thread> joiners;
 
   // Plain compute under both techniques — must finish untouched.
