@@ -13,7 +13,8 @@
 # tests/tools/trace_check.cpp), the blocking-syscall resilience suite
 # (normal, plus its non-context-switching guard/detect halves under TSan),
 # a short run of the self-healing soak (scripts/soak.sh), and repeated
-# Mutex-succession, idle-wakeup and preemption-on-arrival stress runs.
+# Mutex-succession, idle-wakeup, preemption-on-arrival and wait-path stress
+# runs.
 #
 #   scripts/check.sh [build-dir]        (default: build)
 #
@@ -150,7 +151,7 @@ rm -f "$TRACE_EVENTS" "$TRACE_METRICS" "$TRACE_JSON"
 echo "== [13/14] self-healing soak (scripts/soak.sh, short) =="
 SOAK_SECONDS=5 scripts/soak.sh "$BUILD"
 
-echo "== [14/14] Mutex + RwLock succession, idle wakeup, preemption on arrival, repeated =="
+echo "== [14/14] Mutex + RwLock succession, idle wakeup, preemption on arrival, wait path, repeated =="
 # A lost wakeup or a succession race shows up only across many runs: the
 # barging-Mutex stress tests (exact counts under all three preemption
 # types, the starvation bound, timed waiters that never own the lock on
@@ -161,12 +162,23 @@ echo "== [14/14] Mutex + RwLock succession, idle wakeup, preemption on arrival, 
 # and abandoned-reader paths) repeat 20 times. The priority scheduler's
 # preemption-on-arrival tests (start latency without a tick, no signal
 # unless the arrival outranks, the burst guard under a timer and under
-# TimerKind::None) repeat 20 times as well.
+# TimerKind::None) repeat 20 times as well. The wait path (detail::block)
+# repeats its outcomes: every public wait registered and attributed, the
+# timed twins (TimedSync), timed semaphore acquires racing release() with
+# exact unit counts (20 times each), and the timed-out and cancel-kick
+# wakeups of a blocked thread (10 times).
 "$BUILD/tests/test_runtime_sync" \
   --gtest_filter='MutexStress.*:IdleWakeup.*' --gtest_repeat=20
 "$BUILD/tests/test_sync_extra" \
   --gtest_filter='RwLock*' --gtest_repeat=20
 "$BUILD/tests/test_runtime_edge" \
   --gtest_filter='PriorityLive.*' --gtest_repeat=20
+"$BUILD/tests/test_runtime_sync" \
+  --gtest_filter='TimedSync.*:WaitPath.*' --gtest_repeat=20
+"$BUILD/tests/test_sync_extra" \
+  --gtest_filter='Semaphore*' --gtest_repeat=20
+"$BUILD/tests/test_remediation" \
+  --gtest_filter='Cancel.CooperativeCancelInSleepAndTimedWait:Deadline.ExpiryCancelsBlockedThreadAtWakeup' \
+  --gtest_repeat=10
 
 echo "== all checks passed =="

@@ -6,6 +6,9 @@
 
 namespace lpt {
 
+/// "No deadline": the absolute deadline of an untimed wait.
+inline constexpr std::int64_t kNoDeadline = INT64_MAX;
+
 /// Monotonic time in nanoseconds (CLOCK_MONOTONIC). Async-signal-safe.
 inline std::int64_t now_ns() {
   timespec ts;

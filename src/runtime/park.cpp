@@ -144,7 +144,7 @@ bool pin_and_check(const ParkedEdge& e, PinCheck mode, Runtime* rt) {
     if (ok && mode == PinCheck::kBreak) {
       e.waiters->erase(it);
       e.waiter->cancel_fault = FaultKind::kDeadlock;
-      e.waiter->park_broken = true;
+      e.waiter->wake_reason = detail::Wake::kBroken;
       e.waiter->cancel_requested.store(true, std::memory_order_release);
     }
     e.guard->unlock();
@@ -156,7 +156,6 @@ bool pin_and_check(const ParkedEdge& e, PinCheck mode, Runtime* rt) {
     e.waiter->park_slot = 0;
     s.state.store(make_state(e.gen, kFree), std::memory_order_release);
     g_parked.fetch_sub(1, std::memory_order_relaxed);
-    e.waiter->store_state(ThreadState::kReady);
     rt->enqueue_ready(e.waiter, nullptr, EnqueueKind::kUnblock, 0);
   } else {
     s.state.store(occupied, std::memory_order_release);  // unpin

@@ -2,11 +2,11 @@
 // recovery"). Every blocking primitive — Mutex, CondVar, RwLock, Semaphore,
 // Barrier, Latch, WaitGroup, join, sleep and the timed waits — declares a
 // *waiter ULT → resource → owner ULT(s)* edge here at park time and clears
-// it at wake. The registry is the pluggable blocking/wakeup interface the
-// ROADMAP asks for (the future I/O reactor parks through the same calls);
-// today its consumer is the watchdog-driven deadlock detector
-// (Runtime::deadlock_poll, defined in park.cpp) and the abandoned-lock
-// tracker (Runtime::note_owner_finished).
+// it at wake. park()/unpark() are called only by detail::block(), the one
+// wait path every primitive parks through (internal.hpp; a future I/O
+// reactor would be one more WaitKind there). The registry's consumers are
+// the watchdog-driven deadlock detector (Runtime::deadlock_poll, defined in
+// park.cpp) and the abandoned-lock tracker (Runtime::note_owner_finished).
 //
 // Cost discipline matches prof/metrics: when disarmed (LPT_DEADLOCK=0) every
 // entry point is one relaxed load + predicted branch — no atomics, no slab
@@ -96,8 +96,9 @@ ResourceState* acquire_resource(std::uint8_t kind, void* primitive,
 void add_owner(ResourceState* rs, ThreadCtl* t);
 void remove_owner(ResourceState* rs, ThreadCtl* t);
 
-/// Declare "self is parked": called while holding the primitive's `guard`,
-/// after self was pushed onto `waiters`, before suspend_block. The detector
+/// Declare "self is parked": called by detail::block() while holding the
+/// primitive's `guard`, after self was pushed onto `waiters`, before the
+/// suspend. The detector
 /// follows res->owners (ownable resources) or `direct_owner` (join: the
 /// joined thread) for the waits-for edge; both may be null (CondVar & co.
 /// have no owner — such waits can never be cycle members). `timed` waiters
@@ -108,7 +109,7 @@ void park(ThreadCtl* self, std::uint8_t kind, bool timed, ResourceState* res,
           ThreadCtl* direct_owner, Spinlock* guard,
           std::vector<ThreadCtl*>* waiters);
 
-/// Clear the edge; called by the waiter right after suspend_block returns
+/// Clear the edge; called by the waiter right after the suspend returns
 /// (before the primitive can be destroyed). Spins out a detector pin. No-op
 /// when park() registered nothing or a deadlock break already freed the slot
 /// on the victim's behalf.

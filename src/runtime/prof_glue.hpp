@@ -1,11 +1,11 @@
 // Runtime-side recording helpers for the continuous profiler
 // (docs/observability.md, "Profiling") — the only header runtime .cpp files
-// use to attribute off-CPU waits. Every parking site brackets its
-// suspend_block() call with offcpu_begin()/offcpu_end(); the begin tags the
-// ThreadCtl with a wait kind + callsite, the end (running again, possibly on
-// a different KLT) records the block→resume time. Both compile to nothing
-// under LPT_PROF_DISABLED and cost one relaxed flag load when profiling is
-// off.
+// use to attribute off-CPU waits. detail::block() brackets every park with
+// offcpu_begin()/offcpu_end(), and io::blocking_region brackets a blocking
+// syscall; the begin tags the ThreadCtl with a wait kind + callsite, the end
+// (running again, possibly on a different KLT) records the block→resume
+// time. Both compile to nothing under LPT_PROF_DISABLED and cost one
+// relaxed flag load when profiling is off.
 #pragma once
 
 #include "prof/prof.hpp"
@@ -15,9 +15,8 @@
 namespace lpt::prof {
 
 /// Tag `self` as about to park on `kind` at `site` (the caller PC of the
-/// public primitive, from __builtin_return_address(0)). Call just before the
-/// path that may suspend; cheap enough to call even when the fast path then
-/// avoids blocking — only a matching offcpu_end() records anything.
+/// public primitive, from __builtin_return_address(0)). Call just before
+/// suspending; only a matching offcpu_end() records anything.
 inline void offcpu_begin(ThreadCtl* self, WaitKind kind, void* site) {
   if (self == nullptr) return;
   // The kind tag is written even when the profiler is off: the causal
@@ -27,11 +26,6 @@ inline void offcpu_begin(ThreadCtl* self, WaitKind kind, void* site) {
   self->prof_wait_kind = kind;
   self->prof_wait_site = reinterpret_cast<std::uintptr_t>(site);
   if (offcpu_on()) self->prof_wait_start_ns = trace::now_ns();
-}
-
-/// Drop the tag without recording (the fast path did not block after all).
-inline void offcpu_cancel(ThreadCtl* self) {
-  if (self != nullptr) self->prof_wait_kind = WaitKind::kNone;
 }
 
 /// Record the completed wait tagged by offcpu_begin(). Call after

@@ -19,7 +19,6 @@
 #include "runtime/instrument.hpp"
 #include "runtime/internal.hpp"
 #include "runtime/park.hpp"
-#include "runtime/prof_glue.hpp"
 #include "runtime/signals.hpp"
 #include "runtime/timer.hpp"
 
@@ -363,7 +362,6 @@ void Runtime::klt_main(KltCtl* self) {
       ThreadCtl* t = self->reabsorb_enqueue;
       self->reabsorb_enqueue = nullptr;
       note_syscall_reabsorbed();
-      t->store_state(ThreadState::kReady);
       // The wake edge labels this as a syscall return (the region's
       // offcpu_begin tag may already have been consumed on the orphan path).
       t->prof_wait_kind = prof::WaitKind::kSyscall;
@@ -820,6 +818,7 @@ void ensure_external_trace_ring() {
 
 void Runtime::enqueue_ready(ThreadCtl* t, Worker* hint, EnqueueKind kind,
                             std::uint32_t waker) {
+  t->store_state(ThreadState::kReady);
   if (LPT_TRACE_ON()) {
     const std::int64_t now = trace::now_ns();
     t->acct.ready_ns = now;
@@ -982,17 +981,16 @@ void Runtime::expire_timers(std::int64_t now) {
       won = it != e.waiters->end();
       if (won) {
         e.waiters->erase(it);
-        e.t->wait_timed_out = true;
+        e.t->wake_reason = detail::Wake::kTimedOut;
       }
     } else {
       // Sleep: no competing waker. Taking the guard is still required — it
       // is released only after the sleeper's context save completes.
       SpinlockGuard g(*e.guard);
-      e.t->wait_timed_out = true;
+      e.t->wake_reason = detail::Wake::kTimedOut;
       won = true;
     }
     if (won) {
-      e.t->store_state(ThreadState::kReady);
       // Timed-wait expiry wake: waker 0 (the timer, not a ULT); arg1 keeps
       // the primitive kind the waiter parked under (kSleep for sleep_for).
       enqueue_ready(e.t, nullptr, EnqueueKind::kUnblock, /*waker=*/0);
@@ -1330,7 +1328,6 @@ void Runtime::publish_done_and_wake(ThreadCtl* t) {
 
   Worker* hint = worker_tls()->worker;
   for (ThreadCtl* j : joiners) {
-    j->store_state(ThreadState::kReady);
     // The join wake edge names the finished thread as the waker explicitly:
     // this runs in scheduler context (post-exit), where no ULT is current.
     enqueue_ready(j, hint, EnqueueKind::kUnblock, t->trace_id);
@@ -1373,7 +1370,12 @@ std::uint64_t Thread::preemptions() const {
   return ctl_->preemptions.load(std::memory_order_relaxed);
 }
 
-void Thread::join() { (void)join_status(); }
+void Thread::join() {
+  // Wait here so the off-CPU profile names join()'s caller; join_status()
+  // then finds the thread done.
+  if (ctl_ != nullptr) wait_done(kNoDeadline, __builtin_return_address(0));
+  (void)join_status();
+}
 
 bool Thread::request_cancel() {
   if (ctl_ == nullptr) return false;
@@ -1399,90 +1401,27 @@ bool Thread::request_cancel() {
 }
 
 bool Thread::join_for(std::chrono::nanoseconds timeout) {
-  void* const wait_site = __builtin_return_address(0);
+  void* const site = __builtin_return_address(0);
   if (ctl_ == nullptr) return true;  // empty handle: trivially joined
-  ThreadCtl* t = ctl_;
-  const std::int64_t deadline =
-      now_ns() + (timeout.count() > 0 ? timeout.count() : 0);
-
-  ThreadCtl* self = detail::current_ult_or_null();
-  if (self != nullptr) {
-    LPT_CHECK_MSG(self != t, "thread cannot join itself");
-    for (;;) {
-      if (t->done.load(std::memory_order_acquire) != 0) break;
-      if (now_ns() >= deadline) return false;
-      detail::begin_no_preempt(self);
-      t->waiters_lock.lock();
-      if (t->done.load(std::memory_order_acquire) != 0) {
-        t->waiters_lock.unlock();
-        detail::end_no_preempt(self);
-        break;
-      }
-      t->waiters.push_back(self);
-      self->wait_timed_out = false;
-      t->rt->register_timed_wait(self, deadline, &t->waiters_lock,
-                                 &t->waiters);
-      park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kJoin),
-                 /*timed=*/true, nullptr, t, &t->waiters_lock, &t->waiters);
-      prof::offcpu_begin(self, prof::WaitKind::kJoin, wait_site);
-      detail::suspend_block(self, &t->waiters_lock, nullptr);
-      park::unpark(self);
-      prof::offcpu_end(self);
-      t->rt->unregister_timed_wait(self);
-      detail::end_no_preempt(self);  // cancellation point
-      if (self->wait_timed_out && t->done.load(std::memory_order_acquire) == 0)
-        return false;
-    }
-  } else {
-    for (;;) {
-      if (t->done.load(std::memory_order_acquire) != 0) break;
-      const std::int64_t left = deadline - now_ns();
-      if (left <= 0) return false;
-      futex_wait_timeout(&t->done, 0, left);
-    }
-  }
-
-  delete t;
+  if (!wait_done(now_ns() + (timeout.count() > 0 ? timeout.count() : 0), site))
+    return false;
+  delete ctl_;
   ctl_ = nullptr;
   return true;
 }
 
 ThreadStatus Thread::join_status() {
-  void* const wait_site = __builtin_return_address(0);
+  void* const site = __builtin_return_address(0);
   // Joining an empty or already-joined handle is a benign no-op (status
   // reads completed == false): spawn failure hands out empty handles, and
   // fault-handling code paths may join defensively.
   if (ctl_ == nullptr) return ThreadStatus{};
   ThreadCtl* t = ctl_;
+  wait_done(kNoDeadline, site);
 
-  ThreadCtl* self = detail::current_ult_or_null();
-  if (self != nullptr) {
-    LPT_CHECK_MSG(self != t, "thread cannot join itself");
-    for (;;) {
-      if (t->done.load(std::memory_order_acquire) != 0) break;
-      detail::begin_no_preempt(self);
-      t->waiters_lock.lock();
-      if (t->done.load(std::memory_order_acquire) != 0) {
-        t->waiters_lock.unlock();
-        detail::end_no_preempt(self);
-        break;
-      }
-      t->waiters.push_back(self);
-      park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kJoin),
-                 /*timed=*/false, nullptr, t, &t->waiters_lock, &t->waiters);
-      prof::offcpu_begin(self, prof::WaitKind::kJoin, wait_site);
-      detail::suspend_block(self, &t->waiters_lock, nullptr);
-      park::unpark(self);
-      prof::offcpu_end(self);
-      detail::end_no_preempt(self);
-    }
-  } else {
-    while (t->done.load(std::memory_order_acquire) == 0) futex_wait(&t->done, 0);
-  }
-
-  // The done store published t->fault (release/acquire pair above) and the
-  // final lifecycle accounting; copy both out before the control block goes
-  // away.
+  // The done store published t->fault (release/acquire pair in wait_done)
+  // and the final lifecycle accounting; copy both out before the control
+  // block goes away.
   ThreadStatus st;
   st.completed = true;
   st.fault = t->fault;
@@ -1491,6 +1430,45 @@ ThreadStatus Thread::join_status() {
   delete t;
   ctl_ = nullptr;
   return st;
+}
+
+bool Thread::wait_done(std::int64_t deadline, void* site) {
+  ThreadCtl* t = ctl_;
+  const bool timed = deadline != kNoDeadline;
+  ThreadCtl* self = detail::current_ult_or_null();
+  if (self == nullptr) {
+    while (t->done.load(std::memory_order_acquire) == 0) {
+      if (!timed) {
+        futex_wait(&t->done, 0);
+        continue;
+      }
+      const std::int64_t left = deadline - now_ns();
+      if (left <= 0) return false;
+      futex_wait_timeout(&t->done, 0, left);
+    }
+    return true;
+  }
+  LPT_CHECK_MSG(self != t, "thread cannot join itself");
+  while (t->done.load(std::memory_order_acquire) == 0) {
+    if (timed && now_ns() >= deadline) return false;
+    detail::begin_no_preempt(self);
+    t->waiters_lock.lock();
+    if (t->done.load(std::memory_order_acquire) != 0) {
+      t->waiters_lock.unlock();
+      detail::end_no_preempt(self);
+      break;
+    }
+    t->waiters.push_back(self);
+    const detail::Wake r = detail::block(
+        self, {.kind = prof::WaitKind::kJoin, .site = site,
+               .guard = &t->waiters_lock, .waiters = &t->waiters,
+               .direct_owner = t, .deadline = deadline});
+    detail::end_no_preempt(self);  // cancellation point
+    if (r == detail::Wake::kTimedOut &&
+        t->done.load(std::memory_order_acquire) == 0)
+      return false;
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -1527,18 +1505,11 @@ void sleep_for(std::chrono::nanoseconds d) {
   // doubles as the save-rendezvous guard (released by the post action after
   // the context save, so the expiry scan cannot requeue a half-saved
   // thread). No joiner can hold it: a sleeping thread is not done.
-  const std::int64_t deadline = now_ns() + d.count();
   detail::begin_no_preempt(self);
   self->waiters_lock.lock();
-  self->wait_timed_out = false;
-  self->rt->register_timed_wait(self, deadline, &self->waiters_lock, nullptr);
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kSleep),
-             /*timed=*/true, nullptr, nullptr, &self->waiters_lock, nullptr);
-  prof::offcpu_begin(self, prof::WaitKind::kSleep, wait_site);
-  detail::suspend_block(self, &self->waiters_lock, nullptr);
-  park::unpark(self);
-  prof::offcpu_end(self);
-  self->rt->unregister_timed_wait(self);
+  detail::block(self, {.kind = prof::WaitKind::kSleep, .site = wait_site,
+                       .guard = &self->waiters_lock,
+                       .deadline = now_ns() + d.count()});
   detail::end_no_preempt(self);  // cancellation point
 }
 

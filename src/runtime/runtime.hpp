@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "common/futex.hpp"
 #include "common/metrics.hpp"
 #include "common/spinlock.hpp"
+#include "common/time.hpp"
 #include "context/stack.hpp"
 #include "runtime/klt_pool.hpp"
 #include "runtime/options.hpp"
@@ -266,10 +266,10 @@ class Runtime {
     watchdog_.tick(now);
   }
 
-  /// Central ready-transition choke point: stamp the ULT's lifecycle
-  /// accounting (ready_ns; closing a blocked episode on kUnblock), emit the
-  /// causal kUltWake trace event for kSpawn/kUnblock transitions, then
-  /// scheduler-enqueue + notify_work. Every site that makes a ULT runnable
+  /// Central ready-transition choke point: store ThreadState::kReady, stamp
+  /// the ULT's lifecycle accounting (ready_ns; closing a blocked episode on
+  /// kUnblock), emit the causal kUltWake trace event for kSpawn/kUnblock
+  /// transitions, then scheduler-enqueue + notify_work. Every site that makes a ULT runnable
   /// (yield/preempt re-enqueue, sync wakeups, join publication, timed-wait
   /// expiry, spawn, syscall reabsorption) must route through here so that
   /// every kUltDispatch has a matching ready stamp (docs/observability.md,
@@ -314,16 +314,16 @@ class Runtime {
 
   /// Register the calling ULT `t` for a timed wakeup at absolute `wake_ns`.
   /// `guard` is the spinlock protecting `waiters`, the list t pushed itself
-  /// onto (nullptr waiters = sleep: expiry always wins). Caller must hold
-  /// `guard` across register + suspend_block and call unregister_timed_wait
-  /// after resuming, before the primitive may be destroyed.
+  /// onto (nullptr waiters = sleep: expiry always wins). Called only by
+  /// detail::block(), which holds `guard` across register + suspend and
+  /// unregisters after resuming, before the primitive may be destroyed.
   void register_timed_wait(ThreadCtl* t, std::int64_t wake_ns, Spinlock* guard,
                            std::vector<ThreadCtl*>* waiters);
   /// Remove t's entry; spins out a concurrent expiry scan touching it.
   void unregister_timed_wait(ThreadCtl* t);
 
   /// Expire due timed waits and deadlines: wake timed-out waiters (setting
-  /// ThreadCtl::wait_timed_out) and turn expired deadlines into cancel
+  /// ThreadCtl::wake_reason = kTimedOut) and turn expired deadlines into cancel
   /// requests plus a directed preemption tick. Cheap when nothing is due.
   void expire_timers(std::int64_t now);
   /// Fast-path wrapper for idle workers: one relaxed load when no timed wait
@@ -441,8 +441,6 @@ class Runtime {
     std::vector<ThreadCtl*>* waiters;  ///< nullptr = sleep (expiry always wins)
     bool busy;                         ///< expiry scan holds it outside the lock
   };
-  static constexpr std::int64_t kNoDeadline =
-      std::numeric_limits<std::int64_t>::max();
   Spinlock timed_lock_;
   std::vector<TimedWait> timed_waits_;
   /// Threads with an armed deadline. Entries pin liveness: removed in

@@ -3,31 +3,14 @@
 #include "common/assert.hpp"
 #include "common/cpu.hpp"
 #include "common/time.hpp"
+#include "prof/prof.hpp"
+#include "runtime/instrument.hpp"
 #include "runtime/internal.hpp"
 #include "runtime/park.hpp"
-#include "runtime/prof_glue.hpp"
 
 namespace lpt {
 
 namespace {
-
-ThreadCtl* require_ult(const char* what) {
-  ThreadCtl* self = detail::current_ult_or_null();
-  LPT_CHECK_MSG(self != nullptr, what);
-  return self;
-}
-
-void make_ready(ThreadCtl* t, std::uint32_t waker = Runtime::kWakerFromTls) {
-  Runtime* rt = t->rt;
-  t->store_state(ThreadState::kReady);
-  Worker* hint = worker_tls()->worker;  // may be null (external thread)
-  // enqueue_ready stamps the ready transition and emits the causal kUltWake
-  // edge (waker = the calling ULT by default, kind = what t was parked
-  // under). Paths where the causal waker is not the calling thread — the
-  // abandoned-lock force-release runs on the watchdog but the dead owner is
-  // what freed the lock — pass the waker explicitly.
-  rt->enqueue_ready(t, hint, EnqueueKind::kUnblock, waker);
-}
 
 /// One lock()/try_lock_for() call's contention record, carried across its
 /// spin and park rounds: what the starvation bound and the lock profiler
@@ -185,13 +168,14 @@ ThreadCtl* Mutex::pick_wakee() {
 
 void Mutex::lock() {
   void* const site = __builtin_return_address(0);
-  ThreadCtl* self = require_ult("lpt::Mutex::lock outside ULT context");
+  ThreadCtl* self = detail::require_ult("lpt::Mutex::lock outside ULT context");
   detail::cancel_point(self);  // before acquisition: nothing held yet
   acquire(self, site, kNoDeadline);
 }
 
 bool Mutex::try_lock() {
-  ThreadCtl* self = require_ult("lpt::Mutex::try_lock outside ULT context");
+  ThreadCtl* self =
+      detail::require_ult("lpt::Mutex::try_lock outside ULT context");
   detail::begin_no_preempt(self);
   guard_.lock();
   const bool got = !locked_.load(std::memory_order_relaxed);
@@ -208,7 +192,7 @@ bool Mutex::try_lock() {
 bool Mutex::try_lock_for(std::chrono::nanoseconds timeout) {
   void* const site = __builtin_return_address(0);
   ThreadCtl* self =
-      require_ult("lpt::Mutex::try_lock_for outside ULT context");
+      detail::require_ult("lpt::Mutex::try_lock_for outside ULT context");
   detail::cancel_point(self);
   return acquire(self, site, now_ns() + timeout.count());
 }
@@ -218,14 +202,11 @@ bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
   detail::begin_no_preempt(self);
   Contention c;
   bool woke = false;
+  bool expired = false;  // the expiry scan removed us from waiters_
   bool got = false;
-  // Untimed, the flag is not ours: CondVar::wait_for relocks through here
-  // and reports its own timeout from it afterwards.
-  if (timed) self->wait_timed_out = false;
   for (;;) {
     guard_.lock();
     prof::LockStats* ls = prof::locks_on() ? lock_stats(prof_) : nullptr;
-    const bool expired = timed && self->wait_timed_out;
     if (woke) {
       woke = false;
       if (owner_ == self) {
@@ -235,7 +216,7 @@ bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
         got = true;
         break;
       }
-      // Expiry removed us from waiters_; otherwise unlock() woke us and we
+      // Unless expiry removed us from waiters_, unlock() woke us and we
       // were the woken waiter, so the next unlock may wake another.
       if (!expired) {
         woken_ = false;
@@ -257,20 +238,11 @@ bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
     }
     if (!timed && owner_ == self && park::armed() &&
         self->no_preempt_depth == 1) {
-      // Self-deadlock: relocking the mutex we already hold would park behind
-      // ourselves forever. Caught synchronously (a 1-cycle, no detector
-      // round trip) and terminated as a deadlock victim. Under an outer
-      // NoPreemptGuard the cancellation point below cannot fire, so the
-      // historical behavior (hang, detectable by the watchdog) is kept; with
-      // the registry disarmed the check is off entirely. A timed relock
-      // simply times out.
+      // Relocking the mutex we already hold. A timed relock simply times
+      // out; under an outer NoPreemptGuard the historical behavior (hang,
+      // detectable by the watchdog) is kept.
       guard_.unlock();
-      self->cancel_fault = FaultKind::kDeadlock;
-      self->cancel_requested.store(true, std::memory_order_release);
-      self->rt->note_self_deadlock(
-          self, static_cast<std::uint8_t>(prof::WaitKind::kMutex));
-      detail::end_no_preempt(self);  // cancellation point: does not return
-      detail::begin_no_preempt(self);
+      detail::self_deadlock(self, prof::WaitKind::kMutex);
       continue;  // unreachable in practice; keeps the invariant if it ever is
     }
     if (c.since == 0) {
@@ -286,28 +258,20 @@ bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
     }
     lock_note_park(ls, c, holder_on_cpu);
     queue_waiter(waiters_, handoff_, self, c);
-    // Expiry races unlock() for the wakeup under guard_; whoever removes us
-    // from waiters_ wins.
-    if (timed)
-      self->rt->register_timed_wait(self, deadline, &guard_, &waiters_);
-    park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kMutex), timed,
-               res_, nullptr, &guard_, &waiters_);
-    prof::offcpu_begin(self, prof::WaitKind::kMutex, site);
-    detail::suspend_block(self, &guard_, nullptr);
-    park::unpark(self);
-    prof::offcpu_end(self);
-    if (timed) self->rt->unregister_timed_wait(self);
-    if (self->park_broken) {
+    const detail::Wake r = detail::block(
+        self, {.kind = prof::WaitKind::kMutex, .site = site, .guard = &guard_,
+               .waiters = &waiters_, .res = res_, .deadline = deadline});
+    if (r == detail::Wake::kBroken) {
       // The deadlock breaker cancelled us out of the wait (untimed waits
       // only): we do NOT own the lock. The cancellation point below normally
       // terminates us; a thread it cannot unwind (outer NoPreemptGuard)
       // retries the acquire.
-      self->park_broken = false;
       detail::end_no_preempt(self);  // cancellation point: usually no return
       detail::begin_no_preempt(self);
       continue;
     }
     woke = true;
+    expired = r == detail::Wake::kTimedOut;
     c.spins = 0;
   }
   detail::end_no_preempt(self);  // cancellation point
@@ -337,7 +301,7 @@ void Mutex::unlock() {
   }
   handoff_ = false;
   guard_.unlock();
-  if (next != nullptr) make_ready(next);
+  if (next != nullptr) detail::wake(next);
   detail::end_no_preempt(self);
 }
 
@@ -374,7 +338,7 @@ bool Mutex::abandon(ThreadCtl* dead, bool release) {
   // Causally the dead owner freed the lock, not the watchdog thread running
   // this hook — attribute the wake edge to it so trace_critical_path can
   // walk a survivor's chain back into the broken cycle.
-  if (next != nullptr) make_ready(next, dead->trace_id);
+  if (next != nullptr) detail::wake(next, dead->trace_id);
   return true;
 }
 
@@ -387,47 +351,36 @@ bool Mutex::abandon_cb(void* primitive, ThreadCtl* dead, bool release) {
 // ---------------------------------------------------------------------------
 
 void CondVar::wait(Mutex& m) {
-  void* const site = __builtin_return_address(0);
-  ThreadCtl* self = require_ult("lpt::CondVar::wait outside ULT context");
-  detail::begin_no_preempt(self);
-  guard_.lock();
-  waiters_.push_back(self);
-  // No owner edge: a condvar waiter can never be a cycle member (it waits on
-  // a notify, not on a thread). Registered for visibility and the reactor.
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kCondVar),
-             /*timed=*/false, nullptr, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kCondVar, site);
-  // The scheduler releases guard_ and *then* m after our context is saved,
-  // so a signaler can neither miss us nor wake us before we are suspended.
-  detail::suspend_block(self, &guard_, &m);
-  park::unpark(self);
-  prof::offcpu_end(self);
-  detail::end_no_preempt(self);
-  m.lock();
+  (void)wait_until(m, kNoDeadline, __builtin_return_address(0));
 }
 
 bool CondVar::wait_for(Mutex& m, std::chrono::nanoseconds timeout) {
   void* const site = __builtin_return_address(0);
-  ThreadCtl* self = require_ult("lpt::CondVar::wait_for outside ULT context");
-  if (timeout.count() <= 0) return false;  // immediate timeout, m stays held
-  const std::int64_t deadline = now_ns() + timeout.count();
+  if (timeout.count() <= 0) {  // immediate timeout, m stays held
+    detail::require_ult("lpt::CondVar::wait_for outside ULT context");
+    return false;
+  }
+  return wait_until(m, now_ns() + timeout.count(), site);
+}
+
+bool CondVar::wait_until(Mutex& m, std::int64_t deadline, void* site) {
+  ThreadCtl* self =
+      detail::require_ult("lpt::CondVar::wait outside ULT context");
   detail::begin_no_preempt(self);
   guard_.lock();
   waiters_.push_back(self);
-  self->wait_timed_out = false;
-  self->rt->register_timed_wait(self, deadline, &guard_, &waiters_);
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kCondVar),
-             /*timed=*/true, nullptr, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kCondVar, site);
-  detail::suspend_block(self, &guard_, &m);
-  park::unpark(self);
-  prof::offcpu_end(self);
-  self->rt->unregister_timed_wait(self);
+  // No owner edge: a condvar waiter can never be a cycle member (it waits on
+  // a notify, not on a thread). The scheduler releases guard_ and *then* m
+  // after our context is saved, so a signaler can neither miss us nor wake
+  // us before we are suspended.
+  const detail::Wake r = detail::block(
+      self, {.kind = prof::WaitKind::kCondVar, .site = site, .guard = &guard_,
+             .waiters = &waiters_, .relock = &m, .deadline = deadline});
   // Cancellation point — fires while m is NOT held, so a cancelled waiter
   // never strands the user mutex.
   detail::end_no_preempt(self);
   m.lock();
-  return !self->wait_timed_out;
+  return r != detail::Wake::kTimedOut;
 }
 
 void CondVar::notify_one() {
@@ -441,7 +394,7 @@ void CondVar::notify_one() {
       waiters_.erase(waiters_.begin());
     }
   }
-  if (t != nullptr) make_ready(t);
+  if (t != nullptr) detail::wake(t);
   detail::end_no_preempt(self);
 }
 
@@ -453,7 +406,7 @@ void CondVar::notify_all() {
     SpinlockGuard g(guard_);
     ts.swap(waiters_);
   }
-  for (ThreadCtl* t : ts) make_ready(t);
+  detail::wake_all(ts);
   detail::end_no_preempt(self);
 }
 
@@ -468,7 +421,7 @@ Barrier::Barrier(int parties) : parties_(parties) {
 
 void Barrier::arrive_and_wait() {
   void* const site = __builtin_return_address(0);
-  ThreadCtl* self = require_ult("lpt::Barrier outside ULT context");
+  ThreadCtl* self = detail::require_ult("lpt::Barrier outside ULT context");
   detail::begin_no_preempt(self);
   guard_.lock();
   if (++arrived_ == parties_) {
@@ -477,17 +430,13 @@ void Barrier::arrive_and_wait() {
     std::vector<ThreadCtl*> ts;
     ts.swap(waiters_);
     guard_.unlock();
-    for (ThreadCtl* t : ts) make_ready(t);
+    detail::wake_all(ts);
     detail::end_no_preempt(self);
     return;
   }
   waiters_.push_back(self);
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kBarrier),
-             /*timed=*/false, nullptr, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kBarrier, site);
-  detail::suspend_block(self, &guard_, nullptr);
-  park::unpark(self);
-  prof::offcpu_end(self);
+  detail::block(self, {.kind = prof::WaitKind::kBarrier, .site = site,
+                       .guard = &guard_, .waiters = &waiters_});
   detail::end_no_preempt(self);
 }
 

@@ -68,7 +68,6 @@ class Mutex {
   /// wake, unless a woken waiter is already on its way back.
   ThreadCtl* pick_wakee();
 
-  static constexpr std::int64_t kNoDeadline = INT64_MAX;
   /// The acquire loop behind lock() (deadline kNoDeadline) and
   /// try_lock_for(): take the free lock, else spin within the spin bound,
   /// else park; a woken waiter competes again. Returns false only when a
@@ -127,6 +126,10 @@ class CondVar {
   void notify_all();
 
  private:
+  /// The wait behind wait() (deadline kNoDeadline) and wait_for(). False
+  /// when the deadline passed before a notify.
+  bool wait_until(Mutex& m, std::int64_t deadline, void* site);
+
   Spinlock guard_;
   std::vector<ThreadCtl*> waiters_;
 };

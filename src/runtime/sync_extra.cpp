@@ -6,35 +6,9 @@
 #include "common/time.hpp"
 #include "runtime/internal.hpp"
 #include "runtime/park.hpp"
-#include "runtime/prof_glue.hpp"
 #include "runtime/worker.hpp"
 
 namespace lpt {
-
-namespace {
-
-ThreadCtl* require_ult(const char* what) {
-  ThreadCtl* self = detail::current_ult_or_null();
-  LPT_CHECK_MSG(self != nullptr, what);
-  return self;
-}
-
-void make_ready(ThreadCtl* t, std::uint32_t waker = Runtime::kWakerFromTls) {
-  Runtime* rt = t->rt;
-  t->store_state(ThreadState::kReady);
-  // Routed through the causal choke point (ready stamp + kUltWake edge).
-  // The abandoned-lock force-release passes the dead owner as the waker: it
-  // runs on the watchdog thread, but the death is the causal release.
-  rt->enqueue_ready(t, worker_tls()->worker, EnqueueKind::kUnblock, waker);
-}
-
-void make_ready_all(std::vector<ThreadCtl*>& ts,
-                    std::uint32_t waker = Runtime::kWakerFromTls) {
-  for (ThreadCtl* t : ts) make_ready(t, waker);
-  ts.clear();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // RwLock
@@ -141,13 +115,14 @@ void RwLock::reader_left() {
   guard_.lock();
   ThreadCtl* writer_next = settle_locked(readers_next);
   guard_.unlock();
-  if (writer_next != nullptr) make_ready(writer_next);
-  make_ready_all(readers_next);
+  if (writer_next != nullptr) detail::wake(writer_next);
+  detail::wake_all(readers_next);
 }
 
 void RwLock::lock_shared() {
   void* const site = __builtin_return_address(0);
-  ThreadCtl* self = require_ult("RwLock::lock_shared outside ULT context");
+  ThreadCtl* self =
+      detail::require_ult("RwLock::lock_shared outside ULT context");
   detail::begin_no_preempt(self);
   for (;;) {
     std::atomic<long>& slot = reader_slot();
@@ -168,35 +143,25 @@ void RwLock::lock_shared() {
         writer_word_.load(std::memory_order_relaxed) == 0) {
       // Handed the lock on, or the writer is gone: retry the fast path.
       guard_.unlock();
-      if (writer_next != nullptr) make_ready(writer_next);
-      make_ready_all(readers_next);
+      if (writer_next != nullptr) detail::wake(writer_next);
+      detail::wake_all(readers_next);
       continue;
     }
     if (write_owner_ == self && park::armed() && self->no_preempt_depth == 1) {
-      // Write-then-read self-deadlock: a 1-cycle caught synchronously, like
-      // Mutex::lock. (Read-then-write upgrades are left to the periodic
-      // detector: self shows up among res_->owners, closing the cycle.)
+      // Write-then-read self-deadlock, like Mutex::lock. (Read-then-write
+      // upgrades are left to the periodic detector: self shows up among
+      // res_->owners, closing the cycle.)
       guard_.unlock();
-      self->cancel_fault = FaultKind::kDeadlock;
-      self->cancel_requested.store(true, std::memory_order_release);
-      self->rt->note_self_deadlock(
-          self, static_cast<std::uint8_t>(prof::WaitKind::kRwLock));
-      detail::end_no_preempt(self);  // cancellation point: does not return
-      detail::begin_no_preempt(self);
+      detail::self_deadlock(self, prof::WaitKind::kRwLock);
       continue;
     }
     waiting_readers_.push_back(self);
-    park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kRwLock),
-               /*timed=*/false, res_.load(std::memory_order_relaxed), nullptr,
-               &guard_, &waiting_readers_);
-    prof::offcpu_begin(self, prof::WaitKind::kRwLock, site);
-    detail::suspend_block(self, &guard_, nullptr);
-    park::unpark(self);
-    prof::offcpu_end(self);
-    if (self->park_broken) {
+    if (detail::block(self, {.kind = prof::WaitKind::kRwLock, .site = site,
+                             .guard = &guard_, .waiters = &waiting_readers_,
+                             .res = res_.load(std::memory_order_relaxed)}) ==
+        detail::Wake::kBroken) {
       // Deadlock breaker cancelled us out of the wait: no share was handed
       // to us. Terminate at the cancellation point, or retry if unwindable.
-      self->park_broken = false;
       detail::end_no_preempt(self);  // cancellation point: usually no return
       detail::begin_no_preempt(self);
       continue;
@@ -219,7 +184,7 @@ void RwLock::unlock_shared() {
 
 void RwLock::lock() {
   void* const site = __builtin_return_address(0);
-  ThreadCtl* self = require_ult("RwLock::lock outside ULT context");
+  ThreadCtl* self = detail::require_ult("RwLock::lock outside ULT context");
   detail::begin_no_preempt(self);
   for (;;) {
     park::ResourceState* const rs = resource();
@@ -238,31 +203,19 @@ void RwLock::lock() {
       // Readers hold shares: the last one out hands over (reader_left).
     } else if (write_owner_ == self && park::armed() &&
                self->no_preempt_depth == 1) {
-      // Write-after-write self-deadlock, caught synchronously (Mutex::lock
-      // has the full rationale).
-      guard_.unlock();
-      self->cancel_fault = FaultKind::kDeadlock;
-      self->cancel_requested.store(true, std::memory_order_release);
-      self->rt->note_self_deadlock(
-          self, static_cast<std::uint8_t>(prof::WaitKind::kRwLock));
-      detail::end_no_preempt(self);  // cancellation point: does not return
-      detail::begin_no_preempt(self);
+      guard_.unlock();  // write-after-write self-deadlock
+      detail::self_deadlock(self, prof::WaitKind::kRwLock);
       continue;
     }
     waiting_writers_.push_back(self);
-    park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kRwLock),
-               /*timed=*/false, rs, nullptr, &guard_, &waiting_writers_);
-    prof::offcpu_begin(self, prof::WaitKind::kRwLock, site);
-    // Direct handoff: the releaser set writer_/write_owner_ on our behalf.
-    detail::suspend_block(self, &guard_, nullptr);
-    park::unpark(self);
-    prof::offcpu_end(self);
-    if (self->park_broken) {
+    // Direct handoff: the releaser sets writer_/write_owner_ on our behalf.
+    if (detail::block(self, {.kind = prof::WaitKind::kRwLock, .site = site,
+                             .guard = &guard_, .waiters = &waiting_writers_,
+                             .res = rs}) == detail::Wake::kBroken) {
       // Deadlock breaker cancelled us out of the wait: we do NOT own the
       // lock. Our announcement may be all that holds readers back, so pass
       // the lock on as if we had left, then terminate at the cancellation
       // point, or retry if unwindable.
-      self->park_broken = false;
       reader_left();
       detail::end_no_preempt(self);  // cancellation point: usually no return
       detail::begin_no_preempt(self);
@@ -283,8 +236,8 @@ void RwLock::unlock() {
   std::vector<ThreadCtl*> readers_next;
   ThreadCtl* const writer_next = release_write_locked(readers_next);
   guard_.unlock();
-  if (writer_next != nullptr) make_ready(writer_next);
-  make_ready_all(readers_next);
+  if (writer_next != nullptr) detail::wake(writer_next);
+  detail::wake_all(readers_next);
   detail::end_no_preempt(self);
 }
 
@@ -318,8 +271,8 @@ bool RwLock::abandon(ThreadCtl* dead, bool release) {
     return false;
   }
   guard_.unlock();
-  if (writer_next != nullptr) make_ready(writer_next, dead->trace_id);
-  make_ready_all(readers_next, dead->trace_id);
+  if (writer_next != nullptr) detail::wake(writer_next, dead->trace_id);
+  detail::wake_all(readers_next, dead->trace_id);
   return true;
 }
 
@@ -332,27 +285,7 @@ bool RwLock::abandon_cb(void* primitive, ThreadCtl* dead, bool release) {
 // ---------------------------------------------------------------------------
 
 void Semaphore::acquire() {
-  void* const site = __builtin_return_address(0);
-  ThreadCtl* self = require_ult("Semaphore::acquire outside ULT context");
-  detail::begin_no_preempt(self);
-  guard_.lock();
-  if (count_ > 0) {
-    --count_;
-    guard_.unlock();
-    detail::end_no_preempt(self);
-    return;
-  }
-  waiters_.push_back(self);
-  // No owner edge: semaphore units have no owner, so a semaphore waiter can
-  // never be a cycle member. Registered for visibility and the reactor.
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kSemaphore),
-             /*timed=*/false, nullptr, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kSemaphore, site);
-  detail::suspend_block(self, &guard_, nullptr);
-  park::unpark(self);
-  prof::offcpu_end(self);
-  detail::end_no_preempt(self);
-  // Direct handoff: release() consumed a unit on our behalf.
+  (void)acquire_until(kNoDeadline, __builtin_return_address(0));
 }
 
 bool Semaphore::try_acquire() {
@@ -367,39 +300,33 @@ bool Semaphore::try_acquire() {
 }
 
 bool Semaphore::try_acquire_for(std::chrono::nanoseconds timeout) {
-  void* const site = __builtin_return_address(0);
+  return acquire_until(now_ns() + (timeout.count() > 0 ? timeout.count() : 0),
+                       __builtin_return_address(0));
+}
+
+bool Semaphore::acquire_until(std::int64_t deadline, void* site) {
   ThreadCtl* self =
-      require_ult("Semaphore::try_acquire_for outside ULT context");
-  detail::cancel_point(self);
+      detail::require_ult("Semaphore::acquire outside ULT context");
+  detail::cancel_point(self);  // before a unit is taken
   detail::begin_no_preempt(self);
   guard_.lock();
-  if (count_ > 0) {
-    --count_;
+  if (count_ > 0 || (deadline != kNoDeadline && now_ns() >= deadline)) {
+    const bool got = count_ > 0;
+    if (got) --count_;
     guard_.unlock();
     detail::end_no_preempt(self);
-    return true;
+    return got;
   }
-  if (timeout.count() <= 0) {
-    guard_.unlock();
-    detail::end_no_preempt(self);
-    return false;
-  }
-  const std::int64_t deadline = now_ns() + timeout.count();
   waiters_.push_back(self);
-  self->wait_timed_out = false;
-  // Expiry races release() under guard_; a waiter release() removed was
-  // handed a unit (direct handoff), so a timed-out flag can never coexist
-  // with an owed unit.
-  self->rt->register_timed_wait(self, deadline, &guard_, &waiters_);
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kSemaphore),
-             /*timed=*/true, nullptr, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kSemaphore, site);
-  detail::suspend_block(self, &guard_, nullptr);
-  park::unpark(self);
-  prof::offcpu_end(self);
-  self->rt->unregister_timed_wait(self);
+  // No owner edge: semaphore units have no owner, so a semaphore waiter can
+  // never be a cycle member. Expiry races release() under guard_; a waiter
+  // release() removed was handed a unit (direct handoff), so a timeout can
+  // never coexist with an owed unit.
+  const detail::Wake r = detail::block(
+      self, {.kind = prof::WaitKind::kSemaphore, .site = site,
+             .guard = &guard_, .waiters = &waiters_, .deadline = deadline});
   detail::end_no_preempt(self);  // cancellation point
-  return !self->wait_timed_out;
+  return r != detail::Wake::kTimedOut;
 }
 
 void Semaphore::release(int n) {
@@ -416,7 +343,7 @@ void Semaphore::release(int n) {
     }
     count_ += n;
   }
-  make_ready_all(to_wake);
+  detail::wake_all(to_wake);
   detail::end_no_preempt(self);
 }
 
@@ -441,7 +368,7 @@ void Latch::count_down(int n) {
     }
   }
   if (fired) futex_wake(&done_, INT_MAX);
-  make_ready_all(to_wake);
+  detail::wake_all(to_wake);
   detail::end_no_preempt(self);
 }
 
@@ -462,12 +389,8 @@ void Latch::wait() {
   }
   waiters_.push_back(self);
   // No owner edge: latches count down, nobody "holds" them.
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kLatch),
-             /*timed=*/false, nullptr, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kLatch, site);
-  detail::suspend_block(self, &guard_, nullptr);
-  park::unpark(self);
-  prof::offcpu_end(self);
+  detail::block(self, {.kind = prof::WaitKind::kLatch, .site = site,
+                       .guard = &guard_, .waiters = &waiters_});
   detail::end_no_preempt(self);
 }
 
@@ -496,7 +419,7 @@ void WaitGroup::done() {
     }
   }
   if (fired) futex_wake(&zero_epoch_, INT_MAX);
-  make_ready_all(to_wake);
+  detail::wake_all(to_wake);
   detail::end_no_preempt(self);
 }
 
@@ -522,12 +445,8 @@ void WaitGroup::wait() {
   }
   waiters_.push_back(self);
   // No owner edge: wait-group completions have no single owner.
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kWaitGroup),
-             /*timed=*/false, nullptr, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kWaitGroup, site);
-  detail::suspend_block(self, &guard_, nullptr);
-  park::unpark(self);
-  prof::offcpu_end(self);
+  detail::block(self, {.kind = prof::WaitKind::kWaitGroup, .site = site,
+                       .guard = &guard_, .waiters = &waiters_});
   detail::end_no_preempt(self);
 }
 

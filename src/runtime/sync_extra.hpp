@@ -113,6 +113,10 @@ class Semaphore {
   void release(int n = 1);
 
  private:
+  /// The wait behind acquire() (deadline kNoDeadline) and try_acquire_for().
+  /// False when the deadline passed before a unit was consumed.
+  bool acquire_until(std::int64_t deadline, void* site);
+
   Spinlock guard_;
   int count_;
   std::vector<ThreadCtl*> waiters_;

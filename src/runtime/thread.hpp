@@ -40,6 +40,13 @@ enum class FaultKind : std::uint8_t {
 
 const char* fault_kind_name(FaultKind k);
 
+namespace detail {
+/// How a parked wait ended (detail::block): woken by the primitive's
+/// release, removed from the waiter list by the timed-wait expiry scan, or
+/// by the deadlock breaker.
+enum class Wake : std::uint8_t { kWoken, kTimedOut, kBroken };
+}  // namespace detail
+
 /// Failure record for a ULT terminated by fault isolation. Written before
 /// the thread's completion flag is published, so joiners read it race-free.
 struct FaultInfo {
@@ -154,28 +161,25 @@ struct ThreadCtl {
 
   /// Registry slot index + 1 while parked; 0 = not registered. Owner-written
   /// (by the thread at park, by the thread — or the breaker on its behalf —
-  /// at wake) under the same handoff discipline as wait_timed_out.
+  /// at wake) under the same handoff discipline as wake_reason.
   std::uint32_t park_slot = 0;
-  /// Set by the deadlock breaker when it cancelled this thread out of a
-  /// parked wait; the blocking primitive's retry loop consumes it to run the
-  /// cancellation point instead of retrying the acquire.
-  bool park_broken = false;
   /// Ownable resources (Mutex/RwLock) this thread is currently recorded as
   /// holding in the parking registry. Maintained by park::add_owner /
   /// remove_owner; lets a thread that released everything skip the
   /// abandonment scan at exit in O(1).
   int owned_tracked = 0;
 
-  /// Timed-wait handshake (Runtime::register_timed_wait): the expiry scan
-  /// and the normal notify path both remove the waiter from the primitive's
-  /// list under its guard, so exactly one side requeues it; whichever wins
-  /// sets (or leaves) this flag for the resumed waiter. Only written under
-  /// the primitive's guard or while solely owned.
-  bool wait_timed_out = false;
+  /// Why the last parked wait ended. detail::block() resets it to kWoken
+  /// before parking and returns it after the wake. The notify path, the
+  /// timed-wait expiry scan and the deadlock breaker all remove the waiter
+  /// from the primitive's list under its guard, so exactly one side requeues
+  /// it; the expiry scan writes kTimedOut and the breaker kBroken when they
+  /// win. Only written under the primitive's guard or while solely owned.
+  detail::Wake wake_reason = detail::Wake::kWoken;
 
   // ----- off-CPU wait attribution (docs/observability.md "Profiling") -----
 
-  /// What this thread is about to block on, tagged by the parking site just
+  /// What this thread is about to block on, tagged by detail::block() just
   /// before suspend_block() and consumed (block→resume time recorded) right
   /// after it returns. Owner-written only, so unsynchronized.
   prof::WaitKind prof_wait_kind = prof::WaitKind::kNone;
@@ -235,6 +239,11 @@ class Thread {
   bool join_for(std::chrono::nanoseconds timeout);
 
  private:
+  /// The wait behind join_status() (deadline kNoDeadline) and join_for():
+  /// park (ULT) or futex-wait (external thread) until the thread is done.
+  /// False only when a finite deadline passed first.
+  bool wait_done(std::int64_t deadline, void* site);
+
   ThreadCtl* ctl_ = nullptr;
 };
 

@@ -10,6 +10,8 @@
 #include "runtime/fault.hpp"
 #include "runtime/instrument.hpp"
 #include "runtime/internal.hpp"
+#include "runtime/park.hpp"
+#include "runtime/prof_glue.hpp"
 #include "runtime/signals.hpp"
 
 namespace lpt {
@@ -161,8 +163,11 @@ __attribute__((noinline)) void suspend_yield(ThreadCtl* self) {
   unpin_from_klt(self);
 }
 
-__attribute__((noinline)) void suspend_block(ThreadCtl* self, Spinlock* sl,
-                                             Mutex* m) {
+/// Block the current ULT. The scheduler unlocks `sl` (and then `m`, if
+/// non-null) only after the thread's context is fully saved, closing the
+/// enqueue-before-save race.
+__attribute__((noinline)) static void suspend_block(ThreadCtl* self,
+                                                    Spinlock* sl, Mutex* m) {
   LPT_CHECK(self != nullptr);
   pin_to_klt(self);
   WorkerTls* tls = worker_tls();
@@ -170,7 +175,7 @@ __attribute__((noinline)) void suspend_block(ThreadCtl* self, Spinlock* sl,
   LPT_CHECK(w != nullptr);
   if (!claim_host_token(tls)) {
     // Orphaned mid-block: the block itself stays valid — the thread is in a
-    // waiter list others will wake through make_ready. Save the context,
+    // waiter list others will wake through detail::wake. Save the context,
     // hand the guard releases to klt_main (they may only drop once the save
     // is complete — the usual enqueue-before-save race), and retire this
     // KLT. The thread resumes right here on whichever worker wakes it.
@@ -192,6 +197,23 @@ __attribute__((noinline)) void suspend_block(ThreadCtl* self, Spinlock* sl,
   context_switch(self->ctx, w->sched_ctx);
   mark_in_ult();
   unpin_from_klt(self);
+}
+
+Wake block(ThreadCtl* self, const WaitSpec& w) {
+  const bool timed = w.deadline != kNoDeadline;
+  self->wake_reason = Wake::kWoken;
+  // Expiry races the primitive's waker for the wakeup under w.guard; whoever
+  // removes self from w.waiters requeues it.
+  if (timed)
+    self->rt->register_timed_wait(self, w.deadline, w.guard, w.waiters);
+  park::park(self, static_cast<std::uint8_t>(w.kind), timed, w.res,
+             w.direct_owner, w.guard, w.waiters);
+  prof::offcpu_begin(self, w.kind, w.site);
+  suspend_block(self, w.guard, w.relock);
+  park::unpark(self);
+  prof::offcpu_end(self);
+  if (timed) self->rt->unregister_timed_wait(self);
+  return self->wake_reason;
 }
 
 __attribute__((noinline)) void suspend_exit(ThreadCtl* self) {
@@ -257,6 +279,24 @@ void cancel_point(ThreadCtl* self) {
   if (!self->cancel_requested.load(std::memory_order_relaxed)) return;
   if (self->no_preempt_depth > 0) return;  // guard exit will re-check
   suspend_cancel(self);
+}
+
+void wake(ThreadCtl* t, std::uint32_t waker) {
+  // The hint worker is null on an external thread.
+  t->rt->enqueue_ready(t, worker_tls()->worker, EnqueueKind::kUnblock, waker);
+}
+
+void wake_all(std::vector<ThreadCtl*>& ts, std::uint32_t waker) {
+  for (ThreadCtl* t : ts) wake(t, waker);
+  ts.clear();
+}
+
+void self_deadlock(ThreadCtl* self, prof::WaitKind kind) {
+  self->cancel_fault = FaultKind::kDeadlock;
+  self->cancel_requested.store(true, std::memory_order_release);
+  self->rt->note_self_deadlock(self, static_cast<std::uint8_t>(kind));
+  end_no_preempt(self);  // cancellation point: does not return
+  begin_no_preempt(self);
 }
 
 __attribute__((noinline)) void handler_signal_yield(Worker* w, ThreadCtl* t) {
@@ -520,7 +560,6 @@ void Worker::process_post_action() {
       metrics.yields.inc();
       close_run_episode(a.thread);
       LPT_TRACE_EVENT(trace::EventType::kUltYield, a.thread->trace_id);
-      a.thread->store_state(ThreadState::kReady);
       rt->enqueue_ready(a.thread, this, EnqueueKind::kYield);
       break;
     case PostKind::kPreemptSignalYield: {
@@ -532,7 +571,6 @@ void Worker::process_post_action() {
         a.thread->last_preempt_ns = now;
         trace::emit(trace::EventType::kPreemptSignalYield, a.thread->trace_id);
       }
-      a.thread->store_state(ThreadState::kReady);
       rt->enqueue_ready(a.thread, this, EnqueueKind::kPreempted);
       // The handler switched away with the preempt signal still blocked on
       // this KLT; re-enable it so further threads here can be preempted
@@ -549,7 +587,6 @@ void Worker::process_post_action() {
         a.thread->last_preempt_ns = now;
         trace::emit(trace::EventType::kPreemptKltSwitch, a.thread->trace_id);
       }
-      a.thread->store_state(ThreadState::kReady);
       // "as if it had called a yield function" (Fig 2c).
       rt->enqueue_ready(a.thread, this, EnqueueKind::kPreempted);
       break;

@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <vector>
 
 #include "common/cpu.hpp"
 #include "common/time.hpp"
+#include "prof/prof.hpp"
 #include "runtime/lpt.hpp"
 
 namespace lpt {
@@ -307,6 +309,34 @@ TEST(TimedSync, CondVarWaitForWinsWhenNotified) {
   notifier.join();
 }
 
+TEST(TimedSync, CondVarWaitForNonpositiveTimeoutKeepsMutex) {
+  // sync.hpp: a nonpositive timeout returns false without releasing m.
+  RuntimeOptions o;
+  o.num_workers = 2;
+  Runtime rt(o);
+  Mutex m;
+  CondVar cv;
+  std::atomic<bool> waited{false};
+  std::atomic<bool> checked{false};
+  Thread t = rt.spawn([&] {
+    m.lock();
+    EXPECT_FALSE(cv.wait_for(m, std::chrono::nanoseconds(0)));
+    EXPECT_TRUE(m.held_by_caller());
+    EXPECT_FALSE(cv.wait_for(m, std::chrono::milliseconds(-5)));
+    EXPECT_TRUE(m.held_by_caller());
+    waited.store(true, std::memory_order_release);
+    while (!checked.load(std::memory_order_acquire)) this_thread::yield();
+    m.unlock();
+  });
+  Thread other = rt.spawn([&] {
+    while (!waited.load(std::memory_order_acquire)) this_thread::yield();
+    EXPECT_FALSE(m.try_lock()) << "wait_for released the mutex";
+    checked.store(true, std::memory_order_release);
+  });
+  t.join();
+  other.join();
+}
+
 TEST(TimedSync, SleepForReleasesWorkerAndWakes) {
   RuntimeOptions o;
   o.num_workers = 1;
@@ -541,6 +571,221 @@ TEST(MutexStress, TryLockForTimeoutNeverOwns) {
     m.unlock();
   });
   last.join();
+}
+
+// ---------------------------------------------------------------------------
+// The wait path: every public wait parks through one sequence
+// ---------------------------------------------------------------------------
+
+// Each public wait is called from its own small noinline function, so the
+// off-CPU callsite recorded for it must lie inside that function. The
+// compiler barrier after each call keeps it from becoming a tail call, which
+// would record the caller's caller instead.
+constexpr std::chrono::seconds kLongWait{60};
+inline void no_tail_call() { asm volatile("" ::: "memory"); }
+
+[[gnu::noinline]] void at_lock(Mutex& m) {
+  m.lock();
+  no_tail_call();
+}
+[[gnu::noinline]] bool at_try_lock_for(Mutex& m, std::chrono::nanoseconds t) {
+  const bool got = m.try_lock_for(t);
+  no_tail_call();
+  return got;
+}
+[[gnu::noinline]] void at_wait(CondVar& cv, Mutex& m) {
+  cv.wait(m);
+  no_tail_call();
+}
+[[gnu::noinline]] bool at_wait_for(CondVar& cv, Mutex& m,
+                                   std::chrono::nanoseconds t) {
+  const bool notified = cv.wait_for(m, t);
+  no_tail_call();
+  return notified;
+}
+[[gnu::noinline]] void at_arrive(Barrier& b) {
+  b.arrive_and_wait();
+  no_tail_call();
+}
+[[gnu::noinline]] void at_lock_shared(RwLock& rw) {
+  rw.lock_shared();
+  no_tail_call();
+}
+[[gnu::noinline]] void at_rw_lock(RwLock& rw) {
+  rw.lock();
+  no_tail_call();
+}
+[[gnu::noinline]] void at_acquire(Semaphore& s) {
+  s.acquire();
+  no_tail_call();
+}
+[[gnu::noinline]] bool at_try_acquire_for(Semaphore& s,
+                                          std::chrono::nanoseconds t) {
+  const bool got = s.try_acquire_for(t);
+  no_tail_call();
+  return got;
+}
+[[gnu::noinline]] void at_latch(Latch& l) {
+  l.wait();
+  no_tail_call();
+}
+[[gnu::noinline]] void at_wait_group(WaitGroup& wg) {
+  wg.wait();
+  no_tail_call();
+}
+[[gnu::noinline]] void at_join(Thread& t) {
+  t.join();
+  no_tail_call();
+}
+[[gnu::noinline]] bool at_join_for(Thread& t, std::chrono::nanoseconds d) {
+  const bool joined = t.join_for(d);
+  no_tail_call();
+  return joined;
+}
+[[gnu::noinline]] void at_sleep(std::chrono::nanoseconds d) {
+  this_thread::sleep_for(d);
+  no_tail_call();
+}
+
+TEST(WaitPath, EveryWaitRegistersAndAttributes) {
+  // One ULT parks in each of the 14 public waits at once. Every one must
+  // show in the parking registry while parked and leave it after release,
+  // and every one must be attributed to its own callsite in the off-CPU
+  // profile, timed and untimed twins alike.
+  RuntimeOptions o;
+  o.num_workers = 4;
+  o.prof.enabled = true;  // deadlock detection stays at its default (on)
+  Runtime rt(o);
+  if (!prof::offcpu_on()) GTEST_SKIP() << "profiler compiled out";
+  const std::int64_t base = rt.metrics_snapshot().parked_waiters;
+
+  Mutex m, cm1, cm2;
+  CondVar cv1, cv2;
+  Barrier barrier(2);
+  RwLock rw;
+  Semaphore sem(0);
+  Latch latch(1);
+  WaitGroup wg;
+  wg.add(1);
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  auto until_release = [&] {
+    while (!release.load(std::memory_order_acquire)) this_thread::yield();
+  };
+  Thread holder = rt.spawn([&] {
+    m.lock();
+    rw.lock();
+    held.store(true, std::memory_order_release);
+    until_release();
+    rw.unlock();
+    m.unlock();
+  });
+  while (!held.load(std::memory_order_acquire)) usleep(100);
+  Thread joined = rt.spawn(until_release);
+  Thread joined_for = rt.spawn(until_release);
+
+  std::vector<Thread> ts;
+  ts.push_back(rt.spawn([&] {
+    at_lock(m);
+    m.unlock();
+  }));
+  ts.push_back(rt.spawn([&] {
+    EXPECT_TRUE(at_try_lock_for(m, kLongWait));
+    m.unlock();
+  }));
+  ts.push_back(rt.spawn([&] {
+    cm1.lock();
+    at_wait(cv1, cm1);
+    cm1.unlock();
+  }));
+  ts.push_back(rt.spawn([&] {
+    cm2.lock();
+    EXPECT_TRUE(at_wait_for(cv2, cm2, kLongWait));
+    cm2.unlock();
+  }));
+  ts.push_back(rt.spawn([&] { at_arrive(barrier); }));
+  ts.push_back(rt.spawn([&] {
+    at_lock_shared(rw);
+    rw.unlock_shared();
+  }));
+  ts.push_back(rt.spawn([&] {
+    at_rw_lock(rw);
+    rw.unlock();
+  }));
+  ts.push_back(rt.spawn([&] { at_acquire(sem); }));
+  ts.push_back(
+      rt.spawn([&] { EXPECT_TRUE(at_try_acquire_for(sem, kLongWait)); }));
+  ts.push_back(rt.spawn([&] { at_latch(latch); }));
+  ts.push_back(rt.spawn([&] { at_wait_group(wg); }));
+  ts.push_back(rt.spawn([&] { at_join(joined); }));
+  ts.push_back(
+      rt.spawn([&] { EXPECT_TRUE(at_join_for(joined_for, kLongWait)); }));
+  Thread sleeper = rt.spawn([] { at_sleep(kLongWait); });  // cancelled below
+
+  constexpr std::int64_t kWaits = 14;
+  auto parked = [&] { return rt.metrics_snapshot().parked_waiters - base; };
+  const std::int64_t give_up = now_ns() + 10'000'000'000;
+  while (parked() < kWaits && now_ns() < give_up) usleep(1000);
+  EXPECT_EQ(parked(), kWaits);
+
+  release.store(true, std::memory_order_release);
+  Thread releaser = rt.spawn([&] {
+    cv1.notify_one();
+    cv2.notify_one();
+    barrier.arrive_and_wait();  // the second party: does not park
+    sem.release(2);
+    latch.count_down();
+    wg.done();
+  });
+  releaser.join();
+  EXPECT_TRUE(sleeper.request_cancel());
+  EXPECT_EQ(sleeper.join_status().fault.kind, FaultKind::kCancelled);
+  for (Thread& t : ts) t.join();
+  holder.join();
+  EXPECT_EQ(parked(), 0);
+
+  struct Expect {
+    const char* name;
+    prof::WaitKind kind;
+    const void* fn;
+  };
+  const Expect expects[] = {
+      {"Mutex::lock", prof::WaitKind::kMutex, (const void*)&at_lock},
+      {"Mutex::try_lock_for", prof::WaitKind::kMutex,
+       (const void*)&at_try_lock_for},
+      {"CondVar::wait", prof::WaitKind::kCondVar, (const void*)&at_wait},
+      {"CondVar::wait_for", prof::WaitKind::kCondVar,
+       (const void*)&at_wait_for},
+      {"Barrier", prof::WaitKind::kBarrier, (const void*)&at_arrive},
+      {"RwLock::lock_shared", prof::WaitKind::kRwLock,
+       (const void*)&at_lock_shared},
+      {"RwLock::lock", prof::WaitKind::kRwLock, (const void*)&at_rw_lock},
+      {"Semaphore::acquire", prof::WaitKind::kSemaphore,
+       (const void*)&at_acquire},
+      {"Semaphore::try_acquire_for", prof::WaitKind::kSemaphore,
+       (const void*)&at_try_acquire_for},
+      {"Latch", prof::WaitKind::kLatch, (const void*)&at_latch},
+      {"WaitGroup", prof::WaitKind::kWaitGroup, (const void*)&at_wait_group},
+      {"join", prof::WaitKind::kJoin, (const void*)&at_join},
+      {"join_for", prof::WaitKind::kJoin, (const void*)&at_join_for},
+      {"sleep_for", prof::WaitKind::kSleep, (const void*)&at_sleep},
+  };
+  // The call sits within the first few dozen bytes of its tiny caller.
+  constexpr std::uintptr_t kFnSpan = 256;
+  const std::vector<prof::WaitSiteProfile> sites =
+      prof::Collector::instance().offcpu_sites();
+  for (const Expect& e : expects) {
+    const auto fn = reinterpret_cast<std::uintptr_t>(e.fn);
+    bool found = false;
+    std::string seen;  // offsets of this kind's sites, for the failure report
+    for (const prof::WaitSiteProfile& p : sites) {
+      if (p.kind != e.kind || p.count == 0) continue;
+      found |= p.site > fn && p.site < fn + kFnSpan;
+      seen += " " + std::to_string(static_cast<long long>(p.site - fn));
+    }
+    EXPECT_TRUE(found) << e.name << ": no off-CPU wait inside its caller;"
+                       << " site offsets from it:" << seen;
+  }
 }
 
 TEST(IdleWakeup, ExternalSpawnOnIdleRuntimeDispatchesPromptly) {

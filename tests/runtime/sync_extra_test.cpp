@@ -394,6 +394,50 @@ TEST(Semaphore, TryAcquireForWinsWhenReleased) {
   releaser.join();
 }
 
+TEST(SemaphoreStress, TimedAcquireNeverLosesUnits) {
+  // Short timed acquires race release() on 4 workers, so expiry and the
+  // releaser's handoff keep meeting on the same waiter. A unit handed to a
+  // waiter that then reports a timeout would be lost; one counted twice
+  // would be invented. Units acquired plus units left in the semaphore must
+  // equal units released, exactly.
+  RuntimeOptions o;
+  o.num_workers = 4;
+  Runtime rt(o);
+  Semaphore sem(0);
+  constexpr int kAcquirers = 8;
+  constexpr int kAttempts = 200;
+  constexpr int kReleasers = 4;
+  constexpr int kReleases = 150;  // per releaser, 1 or 2 units each
+  constexpr std::chrono::microseconds kTimeouts[] = {
+      std::chrono::microseconds(0), std::chrono::microseconds(50),
+      std::chrono::microseconds(300), std::chrono::microseconds(1500)};
+  std::atomic<long> acquired{0}, released{0};
+  std::vector<Thread> ts;
+  for (int i = 0; i < kAcquirers; ++i)
+    ts.push_back(rt.spawn([&, i] {
+      for (int k = 0; k < kAttempts; ++k)
+        if (sem.try_acquire_for(kTimeouts[(i + k) % 4]))
+          acquired.fetch_add(1, std::memory_order_relaxed);
+    }));
+  for (int i = 0; i < kReleasers; ++i)
+    ts.push_back(rt.spawn([&, i] {
+      for (int k = 0; k < kReleases; ++k) {
+        const int n = 1 + (i + k) % 2;
+        sem.release(n);
+        released.fetch_add(n, std::memory_order_relaxed);
+        for (int y = 0; y < 1 + k % 8; ++y) this_thread::yield();
+      }
+    }));
+  for (auto& t : ts) t.join();
+  long drained = 0;
+  Thread drain = rt.spawn([&] {
+    while (sem.try_acquire()) ++drained;
+  });
+  drain.join();
+  EXPECT_GT(acquired.load(), 0);
+  EXPECT_EQ(acquired.load() + drained, released.load());
+}
+
 TEST(Latch, ReleasesUltAndExternalWaiters) {
   RuntimeOptions o;
   o.num_workers = 2;
