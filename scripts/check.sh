@@ -13,8 +13,8 @@
 # tests/tools/trace_check.cpp), the blocking-syscall resilience suite
 # (normal, plus its non-context-switching guard/detect halves under TSan),
 # a short run of the self-healing soak (scripts/soak.sh), and repeated
-# Mutex-succession, idle-wakeup, preemption-on-arrival and wait-path stress
-# runs.
+# Mutex-succession, idle-wakeup, preemption-on-arrival, wait-path and
+# stack-guard stress runs.
 #
 #   scripts/check.sh [build-dir]        (default: build)
 #
@@ -151,7 +151,7 @@ rm -f "$TRACE_EVENTS" "$TRACE_METRICS" "$TRACE_JSON"
 echo "== [13/14] self-healing soak (scripts/soak.sh, short) =="
 SOAK_SECONDS=5 scripts/soak.sh "$BUILD"
 
-echo "== [14/14] Mutex + RwLock succession, idle wakeup, preemption on arrival, wait path, repeated =="
+echo "== [14/14] Mutex + RwLock succession, idle wakeup, preemption on arrival, wait path, stack guard, repeated =="
 # A lost wakeup or a succession race shows up only across many runs: the
 # barging-Mutex stress tests (exact counts under all three preemption
 # types, the starvation bound, timed waiters that never own the lock on
@@ -166,7 +166,9 @@ echo "== [14/14] Mutex + RwLock succession, idle wakeup, preemption on arrival, 
 # repeats its outcomes: every public wait registered and attributed, the
 # timed twins (TimedSync), timed semaphore acquires racing release() with
 # exact unit counts (20 times each), and the timed-out and cancel-kick
-# wakeups of a blocked thread (10 times).
+# wakeups of a blocked thread (10 times). The stack-pool guard invariant
+# (re-asserted as a stack enters the cache, dropped when that fails,
+# quarantine) repeats 20 times too.
 "$BUILD/tests/test_runtime_sync" \
   --gtest_filter='MutexStress.*:IdleWakeup.*' --gtest_repeat=20
 "$BUILD/tests/test_sync_extra" \
@@ -180,5 +182,9 @@ echo "== [14/14] Mutex + RwLock succession, idle wakeup, preemption on arrival, 
 "$BUILD/tests/test_remediation" \
   --gtest_filter='Cancel.CooperativeCancelInSleepAndTimedWait:Deadline.ExpiryCancelsBlockedThreadAtWakeup' \
   --gtest_repeat=10
+"$BUILD/tests/test_fault_isolation" \
+  --gtest_filter='FaultIsolation.*Stack*:FaultIsolation.Quarantine*' --gtest_repeat=20
+"$BUILD/tests/test_context" \
+  --gtest_filter='StackPool*' --gtest_repeat=20
 
 echo "== all checks passed =="

@@ -83,25 +83,19 @@ std::size_t Stack::watermark() const {
 }
 
 Stack StackPool::acquire() {
-  for (;;) {
-    Stack s;
-    {
-      SpinlockGuard g(lock_);
-      if (free_.empty()) break;
+  Stack s;
+  {
+    SpinlockGuard g(lock_);
+    if (!free_.empty()) {
       s = std::move(free_.back());
       free_.pop_back();
     }
-    // A faulted or buggy former tenant could have left the guard writable;
-    // never hand out a cached stack without PROT_NONE re-asserted below it.
-    if (!s.reassert_guard()) {
-      SpinlockGuard g(lock_);
-      ++shed_;  // dropped: s unmaps on scope exit
-      continue;
-    }
-    if (scrub_on_reuse_) s.scrub();
-    return s;
   }
-  return Stack(stack_size_);
+  if (!s.valid()) return Stack(stack_size_);  // map outside the lock
+  // Every cached stack had its guard re-asserted on the way in (release,
+  // quarantine), so handing one out needs no syscall.
+  if (scrub_on_reuse_) s.scrub();
+  return s;
 }
 
 Stack StackPool::try_acquire(int* err) {
@@ -122,10 +116,13 @@ Stack StackPool::try_acquire(int* err) {
 
 void StackPool::release(Stack&& s) {
   LPT_CHECK(s.valid());
-  Stack drop;  // unmapped outside the lock if the cache is full
+  // A buggy former tenant could have left the guard writable; a stack enters
+  // the cache only with PROT_NONE re-asserted below it, or not at all.
+  const bool guard_ok = s.reassert_guard();
+  Stack drop;  // unmapped outside the lock if it is not cached
   {
     SpinlockGuard g(lock_);
-    if (free_.size() < max_cached_) {
+    if (guard_ok && free_.size() < max_cached_) {
       free_.push_back(std::move(s));
       return;
     }

@@ -80,8 +80,9 @@ class StackPool {
         max_cached_(max_cached),
         scrub_on_reuse_(scrub_on_reuse) {}
 
-  /// Pop a cached stack or map a fresh one. May return an invalid Stack on
-  /// allocation failure; prefer try_acquire for an errno-carrying variant.
+  /// Pop a cached stack (no syscall unless scrub_on_reuse) or map a fresh
+  /// one. May return an invalid Stack on allocation failure; prefer
+  /// try_acquire for an errno-carrying variant.
   Stack acquire();
 
   /// acquire() with graceful degradation: on mmap failure the pool sheds its
@@ -90,7 +91,10 @@ class StackPool {
   Stack try_acquire(int* err);
 
   /// Return a stack for reuse (must have been acquired from this pool).
-  /// Dropped (munmap'd) instead of cached once the free list is at capacity.
+  /// Re-asserts the guard's PROT_NONE first, so every cached stack is
+  /// guarded and acquire() makes no syscall. Dropped (munmap'd) instead of
+  /// cached once the free list is at capacity or when the guard cannot be
+  /// re-protected.
   void release(Stack&& s);
 
   /// Return the stack of a *faulted* ULT: always scrubs the usable region and
@@ -106,7 +110,8 @@ class StackPool {
   std::size_t stack_size() const { return stack_size_; }
   std::size_t max_cached() const { return max_cached_; }
   std::size_t cached() const;
-  /// Cumulative stacks dropped (cap overflow + shed_all + failed re-protect).
+  /// Cumulative stacks dropped (cap overflow + shed_all + failed re-protect
+  /// on release or quarantine).
   std::uint64_t total_shed() const;
   /// Cumulative faulted stacks routed through quarantine().
   std::uint64_t total_quarantined() const;

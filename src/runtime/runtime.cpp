@@ -385,9 +385,31 @@ void Runtime::klt_main(KltCtl* self) {
 
 ThreadCtl* Runtime::spawn_ctl(std::function<void()> fn, ThreadAttrs attrs,
                               bool detached) {
-  // Acquire the stack first: its allocation is the recoverable failure mode
-  // (docs/robustness.md) and nothing else here may be half-done when it
-  // fails. Custom-size stacks get the same shed-and-retry the pool applies.
+  // A ULT spawner may not migrate between choosing its hint worker and the
+  // enqueue, nor be preempted while a victim waits for its thread. Declared
+  // before `claim`, so the guard ends after the claim is dropped: the guard
+  // exit is a cancellation point that may not return.
+  NoPreemptGuard no_preempt;
+  ThreadCtl* self = detail::current_ult_or_null();
+  const int home_pool =
+      attrs.home_pool >= 0
+          ? attrs.home_pool
+          : spawn_rr_.fetch_add(1, std::memory_order_relaxed) % num_workers();
+  Worker* hint = self != nullptr ? worker_tls()->worker
+                                 : workers_[home_pool % num_workers()].get();
+
+  // Kick ahead (DESIGN.md, "Arrival path"): signal the victim before the
+  // thread is built, so the signal's delivery overlaps the construction.
+  // The claim holds the victim's scheduler loop until the enqueue.
+  ArrivalClaim claim(sched_->arrival_victim(attrs.priority, hint));
+  if (claim.victim() != nullptr) {
+    hint = claim.victim();
+    preempt_on_arrival(*claim.victim());
+  }
+
+  // The stack is the recoverable failure mode (docs/robustness.md) and
+  // nothing else here may be half-done when it fails. Custom-size stacks get
+  // the same shed-and-retry the pool applies.
   int err = 0;
   Stack stack;
   if (attrs.stack_size == 0) {
@@ -418,10 +440,7 @@ ThreadCtl* Runtime::spawn_ctl(std::function<void()> fn, ThreadAttrs attrs,
   t->preempt = attrs.preempt;
   t->priority = attrs.priority;
   t->detached = detached;
-  t->home_pool =
-      attrs.home_pool >= 0
-          ? attrs.home_pool
-          : spawn_rr_.fetch_add(1, std::memory_order_relaxed) % num_workers();
+  t->home_pool = home_pool;
 
   t->stack = std::move(stack);
   t->ctx = make_context(t->stack.base(), t->stack.size(), &thread_trampoline, t);
@@ -432,15 +451,9 @@ ThreadCtl* Runtime::spawn_ctl(std::function<void()> fn, ThreadAttrs attrs,
       attrs.deadline_ns > 0 ? attrs.deadline_ns : opts_.default_ult_deadline_ns;
   if (deadline_rel > 0) arm_deadline(t, now_ns() + deadline_rel);
 
-  ThreadCtl* self = detail::current_ult_or_null();
-  detail::begin_no_preempt(self);
-  Worker* hint = self != nullptr
-                     ? worker_tls()->worker
-                     : workers_[t->home_pool % num_workers()].get();
-  enqueue_ready(t, hint, EnqueueKind::kSpawn,
-                self != nullptr ? self->trace_id : 0);
-  detail::end_no_preempt(self);
   n_live_ults_.add(1);
+  enqueue_ready(t, hint, EnqueueKind::kSpawn,
+                self != nullptr ? self->trace_id : 0, &claim);
   return t;
 }
 
@@ -817,7 +830,7 @@ void ensure_external_trace_ring() {
 }  // namespace
 
 void Runtime::enqueue_ready(ThreadCtl* t, Worker* hint, EnqueueKind kind,
-                            std::uint32_t waker) {
+                            std::uint32_t waker, ArrivalClaim* claim) {
   t->store_state(ThreadState::kReady);
   if (LPT_TRACE_ON()) {
     const std::int64_t now = trace::now_ns();
@@ -853,13 +866,23 @@ void Runtime::enqueue_ready(ThreadCtl* t, Worker* hint, EnqueueKind kind,
     // wake edge to draw.
   }
   // Choose before the enqueue: from then on t may run, finish and be freed.
-  Worker* victim =
-      kind == EnqueueKind::kSpawn || kind == EnqueueKind::kUnblock
-          ? sched_->arrival_victim(*t, hint)
-          : nullptr;
+  // A spawn chose (and signalled) its victim before building t; an unblock
+  // chooses now, since its thread already exists.
+  const int priority = t->priority;
+  Worker* victim = nullptr;
+  if (kind == EnqueueKind::kUnblock) {
+    const Worker* near =
+        hint != nullptr ? hint : workers_[t->home_pool % num_workers()].get();
+    victim = sched_->arrival_victim(priority, near);
+    if (victim != nullptr) hint = victim;  // the victim finds it locally
+  }
   sched_->enqueue(t, hint, kind);
-  notify_work();
+  // A victim that stopped waiting for this spawn is running something else:
+  // route the arrival like an unblock, the one case of a second signal.
+  if (claim != nullptr && claim->release())
+    victim = sched_->arrival_victim(priority, hint);
   if (victim != nullptr) preempt_on_arrival(*victim);
+  notify_work();
 }
 
 void Runtime::preempt_on_arrival(Worker& w) {
@@ -1265,12 +1288,15 @@ void Runtime::finalize_thread(ThreadCtl* t) {
   n_live_ults_.sub(1);
 
   // Recycle default-sized stacks through the pool (sizes are page-rounded,
-  // so compare against the rounded pool size).
-  if (t->stack.valid() && t->stack.size() == pooled_stack_size(stack_pool_)) {
-    stack_pool_.release(std::move(t->stack));
-  }
+  // so compare against the rounded pool size). The release re-protects the
+  // guard page, a syscall: take the stack out of t now (a joiner may free t
+  // once it is published) and release it after the joiners are woken.
+  Stack recycle;
+  if (t->stack.valid() && t->stack.size() == pooled_stack_size(stack_pool_))
+    recycle = std::move(t->stack);
 
   publish_done_and_wake(t);
+  if (recycle.valid()) stack_pool_.release(std::move(recycle));
 }
 
 void Runtime::finalize_failed_thread(ThreadCtl* t) {

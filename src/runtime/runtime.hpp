@@ -278,9 +278,13 @@ class Runtime {
   /// clock and (for ringless external threads) lazily acquire a trace ring.
   /// `waker` is the waking ULT's trace id for the wake edge; kWakerFromTls
   /// resolves it from the calling context (0 = external/timer thread).
+  /// `claim` is a spawn's kick-ahead claim (spawn_ctl): the victim was
+  /// chosen and signalled already, and the claim is dropped right after the
+  /// enqueue. Unblocks pass none and choose their victim here.
   static constexpr std::uint32_t kWakerFromTls = 0xffffffffu;
   void enqueue_ready(ThreadCtl* t, Worker* hint, EnqueueKind kind,
-                     std::uint32_t waker = kWakerFromTls);
+                     std::uint32_t waker = kWakerFromTls,
+                     ArrivalClaim* claim = nullptr);
 
   /// Preemption on arrival: send worker w one preemption signal so the
   /// thread that just outranked its running ULT gets a core now instead of

@@ -60,13 +60,12 @@ void PriorityScheduler::enqueue(ThreadCtl* t, Worker* hint, EnqueueKind kind) {
     low_[q]->push_back(t);  // popped from the back → LIFO
 }
 
-Worker* PriorityScheduler::arrival_victim(const ThreadCtl& t,
-                                          const Worker* hint) {
-  if (t.priority > 0) return nullptr;  // the low class never outranks anyone
+Worker* PriorityScheduler::arrival_victim(int priority, const Worker* hint) {
+  if (priority > 0) return nullptr;  // the low class never outranks anyone
   const int n = static_cast<int>(high_.size());
   const int active = rt_->active_workers();
-  const int q = hint != nullptr ? hint->rank : t.home_pool % n;
-  Worker* victim = nullptr;
+  const int q = hint != nullptr ? hint->rank : 0;
+  Worker* victim[2] = {nullptr, nullptr};  // [0] SignalYield, [1] KltSwitch
   for (int step = 0; step < n; ++step) {
     const int r = (q + step) % n;
     if (r >= active) continue;  // parked by thread packing
@@ -74,14 +73,16 @@ Worker* PriorityScheduler::arrival_victim(const ThreadCtl& t,
     if (w.metrics.state.load(std::memory_order_relaxed) !=
         static_cast<std::uint8_t>(metrics::WorkerState::kRunningUlt))
       return nullptr;  // idle or between threads: it will pick the arrival
-    if (victim == nullptr &&
-        w.current_preempt.load(std::memory_order_relaxed) !=
-            static_cast<std::uint8_t>(Preempt::None) &&
-        w.current_priority.load(std::memory_order_relaxed) > 0 &&
-        !w.kick_pending.load(std::memory_order_relaxed))
-      victim = &w;
+    const auto preempt =
+        static_cast<Preempt>(w.current_preempt.load(std::memory_order_relaxed));
+    if (preempt == Preempt::None ||
+        w.current_priority.load(std::memory_order_relaxed) <= 0 ||
+        w.kick_pending.load(std::memory_order_relaxed))
+      continue;
+    Worker*& slot = victim[preempt == Preempt::SignalYield ? 0 : 1];
+    if (slot == nullptr) slot = &w;
   }
-  return victim;
+  return victim[0] != nullptr ? victim[0] : victim[1];
 }
 
 bool PriorityScheduler::has_work() const {

@@ -49,16 +49,18 @@ class Scheduler {
     (void)rank;
     return 0;
   }
-  /// Preemption on arrival: `t`, just spawned or unblocked, is about to be
-  /// enqueued with `hint` (same arguments as enqueue). Return the worker
-  /// whose running ULT `t` outranks and should preempt now, or nullptr to
-  /// let `t` wait for an idle worker or the next timer tick. The runtime
-  /// enqueues `t`, then sends the chosen worker one preemption signal
-  /// (Runtime::preempt_on_arrival). Reads of other workers' state are racy
-  /// by design: a stale answer costs one wasted signal or one tick of delay.
-  /// The default never preempts.
-  virtual Worker* arrival_victim(const ThreadCtl& t, const Worker* hint) {
-    (void)t;
+  /// Preemption on arrival: a thread of `priority` is being spawned or
+  /// unblocked near `hint` (the worker whose queue would receive it; null
+  /// when there is none). Return the worker whose running ULT the arrival
+  /// outranks and should preempt now, or nullptr to let it wait for an idle
+  /// worker or the next timer tick. The runtime enqueues the arrival with
+  /// the victim as its hint and sends the victim one preemption signal
+  /// (Runtime::preempt_on_arrival) — for a spawn, before the thread is even
+  /// built (DESIGN.md, "Arrival path"). Reads of other workers' state are
+  /// racy by design: a stale answer costs one wasted signal or one tick of
+  /// delay. The default never preempts.
+  virtual Worker* arrival_victim(int priority, const Worker* hint) {
+    (void)priority;
     (void)hint;
     return nullptr;
   }
@@ -176,11 +178,12 @@ class PriorityScheduler final : public Scheduler {
   std::int64_t queue_depth(int rank) const override;  ///< high + low
   /// A high-class arrival preempts a worker running a preemptible low-class
   /// ULT, but only while every active worker is busy running a ULT (an idle
-  /// or scheduling worker picks the arrival up without a signal). The scan
-  /// starts at the worker whose queue receives the arrival, so the victim
-  /// usually finds it locally and a stream of external spawns spreads over
-  /// the workers like their home pools do.
-  Worker* arrival_victim(const ThreadCtl& t, const Worker* hint) override;
+  /// or scheduling worker picks the arrival up without a signal). Victims
+  /// are ranked by preemption cost: a SignalYield ULT (switch on the same
+  /// KLT) before a KltSwitch one (futex handoff to a spare KLT). Within a
+  /// rank the scan starts at `hint`, so a stream of external spawns spreads
+  /// over the workers like their home pools do.
+  Worker* arrival_victim(int priority, const Worker* hint) override;
 
  private:
   Runtime* rt_ = nullptr;

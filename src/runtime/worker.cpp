@@ -408,11 +408,17 @@ void Worker::scheduler_loop() {
   for (;;) {
     process_post_action();
     maybe_rearm_posix_timer();
+    // Every scheduling pass doubles as the timed-wait clock (one relaxed
+    // load while nothing is armed): a worker that never idles — a yielding
+    // sibling beside a sleeper — still expires waits at ~1 ms granularity,
+    // not at the watchdog's period.
+    rt->maybe_expire_timers();
     if (rt->shutting_down() && !rt->scheduler().has_work()) break;
     if (rank >= rt->active_workers() && !rt->shutting_down()) {
       park_for_packing();
       continue;
     }
+    await_arrivals();
     ThreadCtl* t = rt->scheduler().pick(*this);
     if (t == nullptr) {
       idle_backoff(idle_failures);
@@ -622,12 +628,26 @@ void Worker::process_post_action() {
   }
 }
 
+void Worker::await_arrivals() {
+  if ((arrival_expected.load(std::memory_order_acquire) & kArrivalCount) == 0)
+    return;
+  const std::int64_t deadline = now_ns() + kArrivalWaitNs;
+  for (;;) {
+    for (int i = 0; i < 16; ++i) cpu_pause();
+    if ((arrival_expected.load(std::memory_order_acquire) & kArrivalCount) == 0)
+      return;
+    if (now_ns() >= deadline) break;
+  }
+  // The spawner is late (descheduled, or mapping a fresh stack): run
+  // something else, and tell it to re-route its arrival when it enqueues.
+  arrival_expected.fetch_add(kArrivalGaveUp, std::memory_order_acq_rel);
+}
+
 void Worker::idle_backoff(int& failures) {
   metrics.set_state(metrics::WorkerState::kIdle);
-  // Idle workers double as the timed-wait clock: with TimerKind::None there
-  // is no monitor tick, so this (plus the 1 ms bound on idle_wait) is what
-  // keeps sleep_for / try_lock_for at ~1 ms granularity.
-  rt->maybe_expire_timers();
+  // The scheduler loop's maybe_expire_timers runs between these naps: with
+  // TimerKind::None there is no monitor tick, so the 1 ms bound on
+  // idle_wait is what keeps sleep_for / try_lock_for at ~1 ms granularity.
   ++failures;
   if (failures < 64) {
     for (int i = 0; i < 32; ++i) cpu_pause();

@@ -67,6 +67,18 @@ struct alignas(kCacheLineSize) Worker {
   /// serves the signal (unless a NoPreemptGuard defers it), and by the next
   /// dispatch in any case.
   std::atomic<bool> kick_pending{false};
+  /// Kick-ahead spawns aimed at this worker (DESIGN.md, "Arrival path"). A
+  /// spawner adds 1 before it signals this worker and subtracts 1 once its
+  /// thread is on this worker's queue, so the scheduler loop waits (at most
+  /// kArrivalWaitNs) for the count to clear before pick. When the wait
+  /// times out the loop adds kArrivalGaveUp: the epoch in the high half
+  /// tells a spawner still holding a claim that its victim did not wait.
+  std::atomic<std::uint64_t> arrival_expected{0};
+  static constexpr std::uint64_t kArrivalGaveUp = std::uint64_t{1} << 32;
+  static constexpr std::uint64_t kArrivalCount = kArrivalGaveUp - 1;  ///< mask
+  /// About 4x the measured construction time of a spawn (stack, ThreadCtl,
+  /// context), so a descheduled spawner costs at most one bounded spin.
+  static constexpr std::int64_t kArrivalWaitNs = 20'000;
 
   /// Kernel thread currently hosting this worker, and its tid (targets for
   /// pthread_kill / SIGEV_THREAD_ID).
@@ -159,10 +171,44 @@ struct alignas(kCacheLineSize) Worker {
   /// Dispatch trace event + preempt→reschedule histogram sample.
   void trace_dispatch(ThreadCtl* t);
   void process_post_action();
+  /// Spin until no kick-ahead spawn is still building a thread for this
+  /// worker, or kArrivalWaitNs have passed (then bump the give-up epoch).
+  void await_arrivals();
   void idle_backoff(int& failures);
   void park_for_packing();
   /// (Re)target the POSIX per-worker timer at `tid` (0 = current host KLT).
   void maybe_rearm_posix_timer(pid_t tid = 0);
+};
+
+/// A spawner's claim on its victim's Worker::arrival_expected: taken before
+/// the arrival signal is sent, dropped once the thread is enqueued or the
+/// spawn failed. A null victim makes an empty claim.
+class ArrivalClaim {
+ public:
+  explicit ArrivalClaim(Worker* victim) : victim_(victim) {
+    if (victim_ != nullptr)
+      epoch_ = victim_->arrival_expected.fetch_add(1, std::memory_order_acq_rel) /
+               Worker::kArrivalGaveUp;
+  }
+  ~ArrivalClaim() { release(); }
+  ArrivalClaim(const ArrivalClaim&) = delete;
+  ArrivalClaim& operator=(const ArrivalClaim&) = delete;
+
+  Worker* victim() const { return victim_; }
+  /// Drop the claim (idempotent). The release ordering publishes the
+  /// enqueue to the victim's acquire load. Returns true when the victim gave
+  /// up waiting while the claim was held.
+  bool release() {
+    if (victim_ == nullptr) return false;
+    const std::uint64_t now =
+        victim_->arrival_expected.fetch_sub(1, std::memory_order_acq_rel);
+    victim_ = nullptr;
+    return now / Worker::kArrivalGaveUp != epoch_;
+  }
+
+ private:
+  Worker* victim_;
+  std::uint64_t epoch_ = 0;
 };
 
 /// Per-KLT runtime state. Accessed from the preemption signal handler, so it

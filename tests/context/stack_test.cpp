@@ -1,9 +1,14 @@
 #include "context/stack.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cerrno>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <string>
 
 #include "common/sys.hpp"
 
@@ -95,6 +100,39 @@ TEST(StackPool, ShedAllEmptiesCache) {
   // Still usable afterwards.
   Stack s = pool.acquire();
   EXPECT_TRUE(s.valid());
+}
+
+/// Protection of the page at `addr` as /proc/self/maps prints it ("rw-p",
+/// "---p", ...), or "" when no mapping holds it.
+std::string protection_of(const void* addr) {
+  const auto a = reinterpret_cast<std::uintptr_t>(addr);
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    std::uintptr_t lo = 0, hi = 0;
+    char perms[5] = {};
+    if (std::sscanf(line.c_str(), "%lx-%lx %4s", &lo, &hi, perms) != 3)
+      continue;
+    if (a >= lo && a < hi) return perms;
+  }
+  return "";
+}
+
+TEST(StackPool, ReleaseReprotectsGuardMadeWritable) {
+  StackPool pool(32 * 1024);
+  Stack s = pool.acquire();
+  ASSERT_TRUE(s.valid());
+  void* guard = s.guard();
+  ASSERT_EQ(protection_of(guard), "---p");
+  // A buggy tenant opens the guard up; the stack goes back to the pool.
+  ASSERT_EQ(::mprotect(guard, s.guard_size(), PROT_READ | PROT_WRITE), 0);
+  ASSERT_EQ(protection_of(guard), "rw-p");
+  pool.release(std::move(s));
+  ASSERT_EQ(pool.cached(), 1u);
+
+  Stack again = pool.acquire();
+  ASSERT_EQ(again.guard(), guard);  // the same stack, handed out again
+  EXPECT_EQ(protection_of(guard), "---p");
 }
 
 TEST(StackPool, TryAcquireReportsErrnoOnInjectedFailure) {

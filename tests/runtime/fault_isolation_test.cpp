@@ -305,19 +305,21 @@ TEST_F(FaultIsolation, CachedStackIsDroppedWhenGuardCannotBeReasserted) {
   StackPool pool(64 * 1024, 4);
   Stack s = pool.acquire();
   ASSERT_TRUE(s.valid());
-  pool.release(std::move(s));
-  ASSERT_EQ(pool.cached(), 1u);
 
-  // Reuse re-asserts PROT_NONE through the sys shim; make that fail.
+  // A stack enters the cache only after its guard is re-asserted through
+  // the sys shim; make that fail.
   ASSERT_TRUE(sys::configure_faults("mprotect:every=1"));
-  Stack fresh = pool.acquire();
+  pool.release(std::move(s));
   sys::reset_faults();
 
-  // The pool shed the unprotectable cached stack and fell back to a fresh
-  // mapping (whose guard is established outside the injectable reuse path).
-  ASSERT_TRUE(fresh.valid());
+  // The pool dropped the unprotectable stack instead of caching it ...
   EXPECT_EQ(pool.cached(), 0u);
   EXPECT_GE(pool.total_shed(), 1u);
+  // ... so the next acquire maps a fresh stack (whose guard is established
+  // outside the injectable path), valid and writable.
+  Stack fresh = pool.acquire();
+  ASSERT_TRUE(fresh.valid());
+  std::memset(fresh.base(), 0xcd, fresh.size());
 }
 
 TEST_F(FaultIsolation, QuarantineScrubsAndRecachesOrDrops) {

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/sys.hpp"
 #include "common/time.hpp"
 #include "runtime/internal.hpp"
 #include "runtime/lpt.hpp"
@@ -358,41 +359,34 @@ RuntimeOptions priority_options(TimerKind timer, std::int64_t interval_us) {
   return o;
 }
 
-TEST(PriorityLive, ArrivalPreemptsWithoutWaitingForTick) {
-  // Preemption on arrival: both workers are hogged by low-priority
-  // preemptible ULTs, and the 100 ms tick is far too slow to explain a
-  // ms-scale start. A high-priority arrival must get a core through its
-  // own preemption signal, under both signal-yield and KLT-switch victims.
+/// Preemption on arrival against two hogs of one preemption kind: both
+/// workers are hogged by low-priority `kind` ULTs, and the 100 ms tick is
+/// far too slow to explain a ms-scale start. A high-priority arrival must
+/// get a core through its own preemption signal. Victims are ranked by
+/// cost (SignalYield first), so each kind gets a run of its own.
+void arrivals_preempt_hogs_of(Preempt kind) {
+  const char* name = kind == Preempt::SignalYield ? "SignalYield" : "KltSwitch";
   Runtime rt(priority_options(TimerKind::PerWorkerAligned, 100'000));
-  Hogs hogs(rt, {Preempt::SignalYield, Preempt::KltSwitch});
+  Hogs hogs(rt, {kind, kind});
   ASSERT_NE(hogs.rank(0), hogs.rank(1));
 
-  // (1) External spawns. The home pools alternate, so the victims do too;
-  // latency is grouped by the kind of hog the arrival displaced.
-  std::vector<std::int64_t> by_kind[2];
+  // (1) External spawns; the home pools alternate, so the victims do too.
+  std::vector<std::int64_t> spawn_lat;
   for (int i = 0; i < 30; ++i) {
     usleep(1000);  // let the last victim resume its hog
     std::atomic<std::int64_t> started{0};
-    std::atomic<int> rank{-1};
     const std::int64_t t0 = now_ns();
-    Thread t = rt.spawn([&] {
-      started.store(now_ns());
-      rank.store(this_thread::worker_rank());
-    });
+    Thread t = rt.spawn([&] { started.store(now_ns()); });
     t.join();
-    by_kind[rank.load() == hogs.rank(0) ? 0 : 1].push_back(started.load() - t0);
+    spawn_lat.push_back(started.load() - t0);
   }
-  for (int k = 0; k < 2; ++k) {
-    ASSERT_GE(by_kind[k].size(), 5u) << (k == 0 ? "SignalYield" : "KltSwitch");
-    EXPECT_LT(median_ns(by_kind[k]), 2'000'000)
-        << (k == 0 ? "SignalYield" : "KltSwitch") << " victims";
-  }
+  EXPECT_LT(median_ns(spawn_lat), 2'000'000) << name << " victims";
 
-  // (2) Wakeups by an external thread: a CondVar waiter homed on the
-  // signal-yield hog's worker, a Semaphore waiter on the KLT-switch one.
-  // Each round waits until the waiter has blocked (a block is counted once
-  // the context is saved, so the wakeup cannot miss it) and its worker is
-  // back on the hog, then wakes it.
+  // (2) Wakeups by an external thread: a CondVar waiter homed on hog 0's
+  // worker, a Semaphore waiter on hog 1's. Each round waits until the
+  // waiter has blocked (a block is counted once the context is saved, so
+  // the wakeup cannot miss it) and its worker is back on the hog, then
+  // wakes it.
   constexpr int kRounds = 10;
   std::atomic<std::int64_t> t0{0};
   std::atomic<int> done{0};
@@ -424,7 +418,7 @@ TEST(PriorityLive, ArrivalPreemptsWithoutWaitingForTick) {
       high);
   drive(blocks0, [&] { cv.notify_one(); });
   cv_waiter.join();
-  EXPECT_LT(median_ns(cv_lat), 2'000'000) << "CondVar wakeups";
+  EXPECT_LT(median_ns(cv_lat), 2'000'000) << name << " CondVar wakeups";
 
   high.home_pool = hogs.rank(1);
   Semaphore sem(0);
@@ -442,13 +436,87 @@ TEST(PriorityLive, ArrivalPreemptsWithoutWaitingForTick) {
       high);
   drive(blocks0, [&] { sem.release(); });
   sem_waiter.join();
-  EXPECT_LT(median_ns(sem_lat), 2'000'000) << "Semaphore wakeups";
+  EXPECT_LT(median_ns(sem_lat), 2'000'000) << name << " Semaphore wakeups";
 
   const metrics::Snapshot s = rt.metrics_snapshot();
-  EXPECT_GT(s.preempt_kicks, 0u);
-  EXPECT_LE(s.preempt_kicks, s.ticks_sent);  // arrival signals are ticks too
-  EXPECT_GT(s.preempt_signal_yield, 0u);
-  EXPECT_GT(s.preempt_klt_switch, 0u);
+  EXPECT_GT(s.preempt_kicks, 0u) << name;
+  EXPECT_LE(s.preempt_kicks, s.ticks_sent) << name;  // kicks are ticks too
+  if (kind == Preempt::SignalYield)
+    EXPECT_GT(s.preempt_signal_yield, 0u);
+  else
+    EXPECT_GT(s.preempt_klt_switch, 0u);
+}
+
+TEST(PriorityLive, ArrivalPreemptsWithoutWaitingForTick) {
+  arrivals_preempt_hogs_of(Preempt::SignalYield);
+  arrivals_preempt_hogs_of(Preempt::KltSwitch);
+}
+
+TEST(PriorityLive, ArrivalPrefersSignalYieldVictim) {
+  // A SignalYield preemption switches on the same KLT; a KltSwitch one
+  // hands the worker to a spare KLT through a futex. With one hog of each
+  // kind, external arrivals go to the cheaper victim whatever their home
+  // pool. A stray 100 ms tick may move one or two.
+  Runtime rt(priority_options(TimerKind::PerWorkerAligned, 100'000));
+  Hogs hogs(rt, {Preempt::SignalYield, Preempt::KltSwitch});
+  ASSERT_NE(hogs.rank(0), hogs.rank(1));
+  int on_signal_yield = 0;
+  for (int i = 0; i < 30; ++i) {
+    usleep(1000);  // let the last victim resume its hog
+    std::atomic<int> rank{-1};
+    rt.spawn([&] { rank.store(this_thread::worker_rank()); }).join();
+    if (rank.load() == hogs.rank(0)) ++on_signal_yield;
+  }
+  EXPECT_GE(on_signal_yield, 28);
+  EXPECT_GT(rt.metrics_snapshot().preempt_kicks, 0u);
+}
+
+TEST(PriorityLive, FailedSpawnLeavesNoWorkerWaiting) {
+  // A spawn signals its victim before it maps the stack. When the mapping
+  // fails the spawn returns an empty handle, and its claim on the victim
+  // must be dropped: the victim's scheduler loop waits for no thread.
+  RuntimeOptions o = priority_options(TimerKind::PerWorkerAligned, 100'000);
+  o.num_workers = 1;
+  Runtime rt(o);
+  std::atomic<std::uint64_t> progress{0};
+  std::atomic<bool> stop{false};
+  ThreadAttrs low;
+  low.priority = 1;
+  low.preempt = Preempt::SignalYield;
+  Thread hog = rt.spawn(
+      [&] {
+        while (!stop.load(std::memory_order_acquire))
+          progress.fetch_add(1, std::memory_order_relaxed);
+      },
+      low);
+  while (progress.load() == 0) usleep(100);
+
+  rt.stack_pool().shed_all();  // the next spawn must map a fresh stack
+  const std::uint64_t kicks0 = rt.metrics_snapshot().preempt_kicks;
+  ASSERT_TRUE(sys::configure_faults("mmap:every=1"));
+  Thread failed = rt.spawn([] {});
+  sys::reset_faults();
+  EXPECT_FALSE(failed.joinable());
+  EXPECT_EQ(rt.metrics_snapshot().preempt_kicks, kicks0 + 1)
+      << "the spawn did not signal before building its thread";
+  EXPECT_EQ(rt.worker(0).arrival_expected.load() & Worker::kArrivalCount, 0u)
+      << "the failed spawn left its victim waiting";
+
+  const std::uint64_t p0 = progress.load();
+  usleep(5000);
+  EXPECT_GT(progress.load(), p0) << "the hog stopped after the failed spawn";
+
+  std::vector<std::int64_t> lat;
+  for (int i = 0; i < 5; ++i) {
+    usleep(1000);
+    std::atomic<std::int64_t> started{0};
+    const std::int64_t t0 = now_ns();
+    rt.spawn([&] { started.store(now_ns()); }).join();
+    lat.push_back(started.load() - t0);
+  }
+  EXPECT_LT(median_ns(lat), 2'000'000);
+  stop.store(true, std::memory_order_release);
+  hog.join();
 }
 
 /// Spawn `n` ULTs of `priority` from this (external) thread; each bumps

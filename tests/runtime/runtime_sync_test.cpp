@@ -361,6 +361,30 @@ TEST(TimedSync, SleepForReleasesWorkerAndWakes) {
   bg.join();
 }
 
+TEST(TimedSync, SleepForWakesOnTimeBesideYieldingSibling) {
+  // The only worker never idles (its sibling yields in a loop), so idle
+  // naps cannot drive expiry; the scheduling passes must, at ~1 ms
+  // granularity rather than the watchdog's 100 ms period.
+  RuntimeOptions o;
+  o.num_workers = 1;
+  Runtime rt(o);
+  std::atomic<bool> stop{false};
+  Thread bg = rt.spawn([&] {
+    while (!stop.load(std::memory_order_acquire)) this_thread::yield();
+  });
+  std::atomic<std::int64_t> slept{0};
+  Thread sleeper = rt.spawn([&] {
+    const std::int64_t start = now_ns();
+    this_thread::sleep_for(std::chrono::milliseconds(30));
+    slept.store(now_ns() - start);
+  });
+  sleeper.join();
+  stop.store(true, std::memory_order_release);
+  bg.join();
+  EXPECT_GE(slept.load(), 25'000'000);
+  EXPECT_LT(slept.load(), 60'000'000);
+}
+
 TEST(TimedSync, SleepForOutsideUltFallsBackToNanosleep) {
   const std::int64_t start = now_ns();
   this_thread::sleep_for(std::chrono::milliseconds(15));
